@@ -11,23 +11,37 @@ system
     [ A   Y ] [a]   [f]
     [ Y^T 0 ] [b] = [0],     A[i,j] = psi(g(x_i, x_j)),  Y[i,k] = Y_k(x_i).
 
-Systems are solved by dense LU with partial pivoting plus iterative
-refinement.  On dense node sets the kernel block is nearly flat and its
-condition number can pass 1/eps, so neighborhoods that miss the residual
-tolerance in double precision are re-solved by an extended-precision LU;
-genuinely singular systems fall back to a least-squares solve (flagged on
-the result).  A solution that still violates the interpolation or moment
-tolerances raises SolveError with the offending neighborhood id.
+All systems are solved once by batched dense LU with partial pivoting and
+checked against the interpolation and moment tolerances.  On dense node
+sets the kernel block is nearly flat and its condition number can pass
+1/eps, so only the neighborhoods that miss the check climb a retry ladder,
+in chunks of LADDER_CHUNK rows; each rung takes the rows the one before
+left failing and keeps its answer only where it lowers the full residual:
+
+    refined   keep-best iterative refinement of the LU solution;
+    extended  LU with partial pivoting in extended precision, vectorized
+              over the chunk (it adds nothing where np.longdouble is plain
+              double, as on platforms without 80-bit or 128-bit floats);
+    lstsq     a least-squares solve per neighborhood, which also covers
+              genuinely singular systems.
+
+Every neighborhood carries the code of the rung that met the tolerance
+(`lu` when the first solve did), or `missed` when none did.  A miss raises
+SolveError with the offending neighborhood id, unless ``strict=False``,
+which keeps the lowest-residual attempt and logs one warning per call.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import harmonics
 from .errors import ConfigError, SolveError
+
+log = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-8
 
@@ -37,6 +51,14 @@ DEFAULT_RTOL = 1e-8
 MOMENT_ABS_FLOOR = 1e-10
 
 _REFINE_STEPS = 3
+
+# Failing rows climb the ladder this many at a time, which bounds the
+# ladder's copies of the systems (extended-precision ones included).
+LADDER_CHUNK = 256
+
+# Solve-path codes, in ladder order; `used_fallback` is path >= PATH_LSTSQ.
+PATH_LU, PATH_REFINED, PATH_EXTENDED, PATH_LSTSQ, PATH_MISSED = range(5)
+PATH_NAMES = ("lu", "refined", "extended", "lstsq", "missed")
 
 
 @dataclass(frozen=True)
@@ -48,7 +70,11 @@ class LocalInterpolant:
     b: np.ndarray         # ((L+1)^2,) harmonic coefficients
     kernel: object
     degree: int
-    used_fallback: bool = False
+    solve_path: int = PATH_LU
+
+    @property
+    def used_fallback(self) -> bool:
+        return self.solve_path >= PATH_LSTSQ
 
     def __call__(self, x) -> np.ndarray:
         return eval_local(self, x)
@@ -74,6 +100,30 @@ def _validate_sizes(m: int, degree: int) -> int:
     return u
 
 
+def _lu_solve(M, rhs):
+    """Batched LU solve; returns (sol, singular).
+
+    Rows whose matrix is exactly singular in double precision are left at
+    zero and flagged, so that they fail the residual check and go straight
+    to the extended-precision rung.
+    """
+    singular = np.zeros(len(M), dtype=bool)
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        sol = np.zeros_like(rhs)
+        for i in range(len(M)):
+            try:
+                sol[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return sol, singular
+
+
+def _residual_norms(M, rhs, sol):
+    return np.linalg.norm(rhs - (M @ sol[..., None])[..., 0], axis=1)
+
+
 def _refine_keep_best(M, rhs, sol):
     """Iterative refinement that never accepts a worse residual.
 
@@ -95,51 +145,85 @@ def _refine_keep_best(M, rhs, sol):
 
 
 def _lu_solve_extended(M, rhs):
-    """LU with partial pivoting in extended precision; None on zero pivot.
+    """LU with partial pivoting in extended precision over a batch of systems.
 
     80-bit arithmetic (where the platform provides it) pushes the residual
     floor far below double rounding, which rescues neighborhoods whose
-    double-precision condition number exceeds 1/eps.
+    double-precision condition number exceeds 1/eps.  The loops run over
+    pivot columns; every operation acts on all rows at once and rounds as
+    the per-system algorithm does, back-substitution sums included.
+    Returns (sol, solved); rows that meet a zero pivot are not solved and
+    leave the other rows untouched.
     """
-    a = np.asarray(M, dtype=np.longdouble).copy()
-    x = np.asarray(rhs, dtype=np.longdouble).copy()
-    n = a.shape[0]
+    a = np.array(M, dtype=np.longdouble)
+    x = np.array(rhs, dtype=np.longdouble)
+    k, n = x.shape
+    rows = np.arange(k)
+    solved = np.ones(k, dtype=bool)
     for c in range(n):
-        p = c + int(np.argmax(np.abs(a[c:, c])))
-        if a[p, c] == 0.0:
-            return None
-        if p != c:
-            a[[c, p]] = a[[p, c]]
-            x[[c, p]] = x[[p, c]]
+        p = c + np.argmax(np.abs(a[:, c:, c]), axis=1)
+        a[rows, c], a[rows, p] = a[rows, p], a[rows, c]
+        x[rows, c], x[rows, p] = x[rows, p], x[rows, c]
+        zero = a[:, c, c] == 0.0
+        if zero.any():
+            # The whole pivot column is zero there, so a unit pivot
+            # eliminates nothing and keeps those rows finite.
+            solved &= ~zero
+            a[zero, c, c] = 1.0
         if c + 1 < n:
-            mult = a[c + 1 :, c] / a[c, c]
-            a[c + 1 :, c + 1 :] -= mult[:, None] * a[c, c + 1 :]
-            x[c + 1 :] -= mult * x[c]
+            mult = a[:, c + 1 :, c] / a[:, c, c, None]
+            a[:, c + 1 :, c + 1 :] -= mult[:, :, None] * a[:, c, None, c + 1 :]
+            x[:, c + 1 :] -= mult * x[:, c, None]
     for c in range(n - 1, -1, -1):
-        x[c] = (x[c] - a[c, c + 1 :] @ x[c + 1 :]) / a[c, c]
-    return x.astype(float)
+        dot = np.zeros(k, dtype=np.longdouble)
+        for j in range(c + 1, n):
+            dot += a[:, c, j] * x[:, j]
+        x[:, c] = (x[:, c] - dot) / a[:, c, c]
+    return x.astype(float), solved
 
 
-def solve_saddle_batch(
-    kernel, degree, pts, vals, rtol=DEFAULT_RTOL, node_indices=None, strict=True
-):
-    """Solve the saddle-point systems of many equally-sized neighborhoods.
+def _climb_ladder(M, rhs, A, Y, vals, sol, singular, rtol):
+    """Escalate rows that missed `rtol` after the first LU; returns (sol, path)."""
+    m = A.shape[1]
 
-    pts: (n, m, 3) neighborhoods, vals: (n, m) data.  Returns
-    (a, b, fallback) with shapes (n, m), (n, U), (n,); `fallback` marks
-    neighborhoods that needed the least-squares path.  A neighborhood whose
-    best solution still misses the tolerances raises SolveError, unless
-    ``strict=False``, which keeps the lowest-residual attempt and flags it
-    (used by parameter sweeps that must stay finite in ill-conditioned
-    corners of the shape-parameter range).
+    def ok(rows):
+        return _residuals_ok(A[rows], Y[rows], vals[rows], sol[rows, :m], sol[rows, m:], rtol)
+
+    path = np.full(len(sol), PATH_REFINED, dtype=np.uint8)
+    live = ~singular
+    if live.any():
+        sol[live] = _refine_keep_best(M[live], rhs[live], sol[live])
+
+    todo = np.nonzero(~ok(slice(None)))[0]
+    path[todo] = PATH_EXTENDED
+    best_norm = _residual_norms(M[todo], rhs[todo], sol[todo])
+    extended, solved = _lu_solve_extended(M[todo], rhs[todo])
+    ext_norm = _residual_norms(M[todo], rhs[todo], extended)
+    take = solved & (ext_norm < best_norm)
+    sol[todo[take]] = extended[take]
+    best_norm[take] = ext_norm[take]
+
+    still = ~ok(todo)
+    todo, best_norm = todo[still], best_norm[still]
+    path[todo] = PATH_LSTSQ
+    if todo.size:
+        lsq = np.stack([np.linalg.lstsq(M[i], rhs[i], rcond=None)[0] for i in todo])
+        take = _residual_norms(M[todo], rhs[todo], lsq) < best_norm
+        sol[todo[take]] = lsq[take]
+        path[todo[~ok(todo)]] = PATH_MISSED
+    return sol, path
+
+
+def _saddle_systems(kernel, degree, pts, vals):
+    """Blocks A (n, m, m), Y (n, m, U), systems M and right-hand sides rhs.
+
+    A is a view of M's kernel block, so the batch is held in memory once.
     """
     pts = np.asarray(pts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
     n, m, _ = pts.shape
     u = _validate_sizes(m, degree)
 
-    dots = np.clip(np.einsum("nik,njk->nij", pts, pts), -1.0, 1.0)
-    A = kernel.at_cos(dots)
+    A = kernel.at_cos(np.clip(np.einsum("nik,njk->nij", pts, pts), -1.0, 1.0))
     Y = harmonics.sh_basis(pts, degree)
 
     M = np.zeros((n, m + u, m + u))
@@ -148,52 +232,55 @@ def solve_saddle_batch(
         M[:, :m, m:] = Y
         M[:, m:, :m] = np.transpose(Y, (0, 2, 1))
     rhs = np.concatenate([vals, np.zeros((n, u))], axis=1)
+    return M[:, :m, :m], Y, M, rhs
 
-    scale = np.linalg.norm(vals, axis=1)
-    fallback = np.zeros(n, dtype=bool)
-    try:
-        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
-        sol = _refine_keep_best(M, rhs, sol)
-    except np.linalg.LinAlgError:
-        # Some neighborhood is exactly singular; rows left at zero fail the
-        # residual check below and run through the retry ladder.
-        sol = np.zeros_like(rhs)
-        for i in range(n):
-            try:
-                sol_i = np.linalg.solve(M[i], rhs[i])[None]
-                sol[i] = _refine_keep_best(M[i][None], rhs[i][None], sol_i)[0]
-            except np.linalg.LinAlgError:
-                pass
 
+def solve_saddle_batch(
+    kernel, degree, pts, vals, rtol=DEFAULT_RTOL, node_indices=None, strict=True
+):
+    """Solve the saddle-point systems of many equally-sized neighborhoods.
+
+    pts: (n, m, 3) neighborhoods, vals: (n, m) data.  Returns (a, b, path)
+    with shapes (n, m), (n, U), (n,); `path` holds each neighborhood's
+    PATH_* code (uint8).  A neighborhood whose best solution still misses
+    the tolerances raises SolveError naming the lowest such neighborhood,
+    unless ``strict=False``, which keeps the lowest-residual attempt and
+    marks it PATH_MISSED (used by parameter sweeps that must stay finite in
+    ill-conditioned corners of the shape-parameter range).
+    """
+    vals = np.asarray(vals, dtype=float)
+    A, Y, M, rhs = _saddle_systems(kernel, degree, pts, vals)
+    n, m = vals.shape
+    u = Y.shape[-1]
+
+    sol, singular = _lu_solve(M, rhs)
     a, b = sol[:, :m], sol[:, m:]
-    for i in np.nonzero(~_residuals_ok(A, Y, vals, a, b, rtol))[0]:
-        best = sol[i]
-        best_norm = np.linalg.norm(rhs[i] - M[i] @ best)
-        extended = _lu_solve_extended(M[i], rhs[i])
-        if extended is not None and np.linalg.norm(rhs[i] - M[i] @ extended) < best_norm:
-            best = extended
-            best_norm = np.linalg.norm(rhs[i] - M[i] @ best)
-        a[i], b[i] = best[:m], best[m:]
-        if not _row_ok(A, Y, vals, a, b, rtol, i):
-            least_squares, *_ = np.linalg.lstsq(M[i], rhs[i], rcond=None)
-            fallback[i] = True
-            if np.linalg.norm(rhs[i] - M[i] @ least_squares) < best_norm:
-                best = least_squares
-                a[i], b[i] = best[:m], best[m:]
-            if not _row_ok(A, Y, vals, a, b, rtol, i) and strict:
-                idx = node_indices[i] if node_indices is not None else i
-                resid = np.linalg.norm(A[i] @ a[i] + (Y[i] @ b[i] if u else 0.0) - vals[i])
-                raise SolveError(
-                    f"saddle-point solution misses tolerance {rtol:g} "
-                    f"(interpolation residual {resid:.3e}, data norm {scale[i]:.3e})",
-                    node_index=idx,
-                )
-    return a, b, fallback
-
-
-def _row_ok(A, Y, vals, a, b, rtol, i) -> bool:
-    sl = slice(i, i + 1)
-    return bool(_residuals_ok(A[sl], Y[sl], vals[sl], a[sl], b[sl], rtol)[0])
+    path = np.full(n, PATH_LU, dtype=np.uint8)
+    failing = np.nonzero(~_residuals_ok(A, Y, vals, a, b, rtol))[0]
+    for start in range(0, failing.size, LADDER_CHUNK):
+        rows = failing[start : start + LADDER_CHUNK]
+        sol[rows], path[rows] = _climb_ladder(
+            M[rows], rhs[rows], A[rows], Y[rows], vals[rows], sol[rows], singular[rows], rtol
+        )
+        missed = rows[path[rows] == PATH_MISSED]
+        if strict and missed.size:
+            i = missed[0]
+            idx = node_indices[i] if node_indices is not None else i
+            resid = np.linalg.norm(A[i] @ a[i] + (Y[i] @ b[i] if u else 0.0) - vals[i])
+            raise SolveError(
+                f"saddle-point solution misses tolerance {rtol:g} "
+                f"(interpolation residual {resid:.3e}, "
+                f"data norm {np.linalg.norm(vals[i]):.3e})",
+                node_index=idx,
+            )
+    n_missed = int(np.count_nonzero(path == PATH_MISSED))
+    if n_missed:
+        log.warning(
+            "%d of %d neighborhoods miss the residual tolerance %g; "
+            "their lowest-residual attempts are kept",
+            n_missed, n, rtol,
+        )
+    return a, b, path
 
 
 def _residuals_ok(A, Y, vals, a, b, rtol):
@@ -223,7 +310,7 @@ def build_local_interpolant(
         raise ValueError(
             f"got {nodes.shape[0]} nodes but {values.shape[0]} values"
         )
-    a, b, fallback = solve_saddle_batch(
+    a, b, path = solve_saddle_batch(
         kernel,
         degree,
         nodes[None],
@@ -237,5 +324,5 @@ def build_local_interpolant(
         b=b[0],
         kernel=kernel,
         degree=degree,
-        used_fallback=bool(fallback[0]),
+        solve_path=int(path[0]),
     )

@@ -25,7 +25,7 @@ import numpy as np
 from . import harmonics
 from .errors import ConfigError
 from .kernels import InverseMultiquadric
-from .localfit import DEFAULT_RTOL, LocalInterpolant, solve_saddle_batch
+from .localfit import DEFAULT_RTOL, PATH_LSTSQ, LocalInterpolant, solve_saddle_batch
 from .zones import build_zones, compute_delta
 
 # Geodesic distance at or below which an evaluation point is treated as one
@@ -42,8 +42,8 @@ class ShepardConfig:
     """Localization parameters and local-fit family for one model.
 
     ``strict=False`` keeps the best-effort solution when a local system
-    cannot meet `rtol` (instead of raising); the fit flags such
-    neighborhoods in the model diagnostics.
+    cannot meet `rtol` (instead of raising); the fit marks such
+    neighborhoods `missed` in the model's `solve_path` and logs a warning.
     """
 
     n_z: int = 15
@@ -77,7 +77,12 @@ class ShepardModel:
     centers: np.ndarray       # (n, n_z, 3) == nodes[neighbor_ids]
     coeff_a: np.ndarray       # (n, n_z)
     coeff_b: np.ndarray       # (n, (L+1)^2)
-    used_fallback: np.ndarray  # (n,) bool, least-squares fallback flags
+    solve_path: np.ndarray    # (n,) uint8 localfit.PATH_* code per local fit
+
+    @property
+    def used_fallback(self) -> np.ndarray:
+        """(n,) bool, neighborhoods that reached the least-squares rung."""
+        return self.solve_path >= PATH_LSTSQ
 
     @property
     def local_fits(self) -> list[LocalInterpolant]:
@@ -91,7 +96,7 @@ class ShepardModel:
             b=self.coeff_b[j],
             kernel=self.config.kernel,
             degree=self.config.degree,
-            used_fallback=bool(self.used_fallback[j]),
+            solve_path=int(self.solve_path[j]),
         )
 
 
@@ -111,7 +116,7 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
         neighbor_ids[j] = index.nearest_m(nodes[j], config.n_z, n_formula=n).ids
 
     centers = nodes[neighbor_ids]
-    a, b, fallback = solve_saddle_batch(
+    a, b, path = solve_saddle_batch(
         config.kernel,
         config.degree,
         centers,
@@ -128,7 +133,7 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
         centers=centers,
         coeff_a=a,
         coeff_b=b,
-        used_fallback=fallback,
+        solve_path=path,
     )
 
 

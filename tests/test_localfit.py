@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from sphshepard import localfit
 from sphshepard import (
     ConfigError,
     InverseMultiquadric,
@@ -15,6 +17,7 @@ from sphshepard import (
 )
 
 IMQ = InverseMultiquadric(0.5)
+FLAT = InverseMultiquadric(0.05)
 
 
 def rand_points(n, seed):
@@ -127,6 +130,7 @@ def test_consistent_duplicate_nodes_use_fallback():
     values = np.exp(nodes[:, 2])
     z = build_local_interpolant(nodes, values, IMQ, -1)
     assert z.used_fallback
+    assert z.solve_path == localfit.PATH_LSTSQ
     got = eval_local(z, nodes)
     assert np.max(np.abs(got - values)) <= 1e-8 * np.linalg.norm(values)
 
@@ -134,3 +138,111 @@ def test_consistent_duplicate_nodes_use_fallback():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         build_local_interpolant(rand_points(5, 16), np.zeros(4), IMQ, -1)
+
+
+# ------------------------------------------------------------------ retry ladder
+
+
+def neighborhoods(n, seed):
+    """The 15-nearest neighborhood of every node of a random cloud, with data."""
+    nodes = rand_points(n, seed)
+    ids = np.argsort(-(nodes @ nodes.T), axis=1, kind="stable")[:, :15]
+    values = np.exp(nodes[:, 2]) + nodes[:, 0]
+    return nodes[ids], values[ids]
+
+
+def _lu_solve_extended_per_system(M, rhs):
+    """The extended-precision rung one system at a time: the oracle."""
+    a = np.asarray(M, dtype=np.longdouble).copy()
+    x = np.asarray(rhs, dtype=np.longdouble).copy()
+    n = a.shape[0]
+    for c in range(n):
+        p = c + int(np.argmax(np.abs(a[c:, c])))
+        if a[p, c] == 0.0:
+            return None
+        if p != c:
+            a[[c, p]] = a[[p, c]]
+            x[[c, p]] = x[[p, c]]
+        if c + 1 < n:
+            mult = a[c + 1 :, c] / a[c, c]
+            a[c + 1 :, c + 1 :] -= mult[:, None] * a[c, c + 1 :]
+            x[c + 1 :] -= mult * x[c]
+    for c in range(n - 1, -1, -1):
+        x[c] = (x[c] - a[c, c + 1 :] @ x[c + 1 :]) / a[c, c]
+    return x.astype(float)
+
+
+@pytest.mark.parametrize("degree", [-1, 2])
+def test_extended_rung_matches_per_system_algorithm(degree):
+    pts, vals = neighborhoods(1000, 30)
+    _, _, M, rhs = localfit._saddle_systems(FLAT, degree, pts[:300], vals[:300])
+    got, solved = localfit._lu_solve_extended(M, rhs)
+    want = np.stack([_lu_solve_extended_per_system(Mi, ri) for Mi, ri in zip(M, rhs)])
+    assert solved.all()
+    assert np.array_equal(got, want)
+
+
+def test_extended_rung_flags_singular_row_only():
+    pts, vals = neighborhoods(1000, 31)
+    pts, vals = pts[:20].copy(), vals[:20].copy()
+    pts[5, 1], vals[5, 1] = pts[5, 0], vals[5, 0]  # duplicate node
+    _, _, M, rhs = localfit._saddle_systems(FLAT, -1, pts, vals)
+    assert _lu_solve_extended_per_system(M[5], rhs[5]) is None
+    got, solved = localfit._lu_solve_extended(M, rhs)
+    others = np.arange(20) != 5
+    alone, alone_solved = localfit._lu_solve_extended(M[others], rhs[others])
+    assert solved.tolist() == others.tolist()
+    assert alone_solved.all()
+    assert np.array_equal(got[others], alone)
+
+
+@pytest.mark.parametrize("degree", [-1, 2])
+def test_ladder_results_do_not_depend_on_chunk_size(monkeypatch, degree):
+    pts, vals = neighborhoods(1000, 0)
+    whole = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
+    assert np.count_nonzero(whole[2] != localfit.PATH_LU) > 7
+    monkeypatch.setattr(localfit, "LADDER_CHUNK", 7)
+    chunked = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
+    for x, y in zip(whole, chunked):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("degree", [-1, 2])
+def test_rows_passing_first_check_keep_plain_lu_solution(degree):
+    pts, vals = neighborhoods(1000, 0)
+    a, b, path = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
+    A, Y, M, rhs = localfit._saddle_systems(FLAT, degree, pts, vals)
+    plain = np.linalg.solve(M, rhs[..., None])[..., 0]
+    first_ok = localfit._residuals_ok(A, Y, vals, plain[:, :15], plain[:, 15:], localfit.DEFAULT_RTOL)
+    # This flat-limit cloud reaches every rung of the ladder.
+    assert np.bincount(path, minlength=5).all()
+    assert np.array_equal(path == localfit.PATH_LU, first_ok)
+    assert np.array_equal(np.hstack([a, b])[first_ok], plain[first_ok])
+
+
+def contradictory_batch():
+    """Eight well-conditioned neighborhoods; rows 3 and 5 hold one node twice
+    with two different values, which no interpolant can fit."""
+    pts, vals = neighborhoods(300, 32)
+    pts, vals = pts[:8].copy(), vals[:8].copy()
+    for i in (5, 3):
+        pts[i, 1], vals[i, 1] = pts[i, 0], vals[i, 0] + 1.0
+    return pts, vals
+
+
+@pytest.mark.parametrize("chunk", [256, 1])
+def test_strict_error_names_lowest_missing_neighborhood(monkeypatch, chunk):
+    monkeypatch.setattr(localfit, "LADDER_CHUNK", chunk)
+    pts, vals = contradictory_batch()
+    with pytest.raises(SolveError) as err:
+        localfit.solve_saddle_batch(IMQ, -1, pts, vals, node_indices=np.arange(100, 108))
+    assert err.value.node_index == 103
+
+
+def test_non_strict_marks_misses_and_warns_once(caplog):
+    pts, vals = contradictory_batch()
+    with caplog.at_level(logging.WARNING, logger="sphshepard.localfit"):
+        a, b, path = localfit.solve_saddle_batch(IMQ, -1, pts, vals, strict=False)
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    assert np.nonzero(path == localfit.PATH_MISSED)[0].tolist() == [3, 5]
+    assert [r.getMessage().split(" neighborhoods")[0] for r in caplog.records] == ["2 of 8"]

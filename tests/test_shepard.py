@@ -15,6 +15,7 @@ from sphshepard import (
     spiral_points,
     weights,
 )
+from sphshepard.localfit import PATH_LSTSQ, PATH_MISSED
 
 
 def rand_points(n, seed):
@@ -71,6 +72,18 @@ def test_single_patch_when_n_equals_nz():
     for j in range(15):
         got = model.local_fit(j)(nodes)
         assert np.max(np.abs(got - values)) <= 1e-8 * np.linalg.norm(values)
+
+
+def test_solve_path_codes_and_fallback_view():
+    model, _, _ = make_model(n=400, seed=4, degree=-1, kernel=InverseMultiquadric(0.05),
+                             strict=False)
+    assert model.solve_path.dtype == np.uint8
+    assert model.solve_path.max() <= PATH_MISSED
+    assert np.array_equal(model.used_fallback, model.solve_path >= PATH_LSTSQ)
+    for j in range(0, 400, 37):
+        local = model.local_fit(j)
+        assert local.solve_path == model.solve_path[j]
+        assert local.used_fallback == model.used_fallback[j]
 
 
 def test_fit_is_deterministic():
