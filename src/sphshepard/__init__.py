@@ -12,12 +12,12 @@ from .datasets import (
 )
 from .errors import ConfigError, DataError, SolveError
 from .harmonics import sh_basis, sh_dim
-from .kernels import InverseMultiquadric, eval_kernel, kernel_matrix, make_kernel
+from .kernels import InverseMultiquadric, kernel_matrix, make_kernel
 from .localfit import LocalInterpolant, build_local_interpolant, eval_local
 from .metrics import ErrorReport, error_report, rrmse
 from .shepard import ShepardConfig, ShepardModel, evaluate, fit, weights
-from .sphere import SphericalCap, cap_contains, geodesic_distance, normalize
-from .zones import NeighborSet, ZoneIndex, build_zones, compute_delta, nearest_m, query_cap
+from .sphere import SphericalCap, geodesic_distance, normalize
+from .zones import NeighborSet, ZoneIndex, build_zones, compute_delta
 
 __version__ = "0.1.0"
 
@@ -36,10 +36,8 @@ __all__ = [
     "ZoneIndex",
     "build_local_interpolant",
     "build_zones",
-    "cap_contains",
     "compute_delta",
     "error_report",
-    "eval_kernel",
     "eval_local",
     "evaluate",
     "fit",
@@ -47,9 +45,7 @@ __all__ = [
     "kernel_matrix",
     "load_csv",
     "make_kernel",
-    "nearest_m",
     "normalize",
-    "query_cap",
     "random_uniform_sphere",
     "rrmse",
     "sh_basis",

@@ -54,11 +54,6 @@ def make_kernel(family: str, gamma: float):
     return cls(gamma)
 
 
-def eval_kernel(kernel, t) -> np.ndarray:
-    """Evaluate psi at geodesic distance(s) t in [0, pi]."""
-    return kernel(t)
-
-
 def kernel_matrix(kernel, nodes) -> np.ndarray:
     """Symmetric matrix A[i, j] = psi(g(x_i, x_j)) over unit-vector nodes.
 

@@ -52,8 +52,10 @@ MOMENT_ABS_FLOOR = 1e-10
 
 _REFINE_STEPS = 3
 
-# Failing rows climb the ladder this many at a time, which bounds the
-# ladder's copies of the systems (extended-precision ones included).
+# The first LU solves this many systems per call, and failing rows climb the
+# ladder this many at a time, which bounds the ladder's copies of the systems
+# (extended-precision ones included) and what an exactly singular system
+# costs the first solve.
 LADDER_CHUNK = 256
 
 # Solve-path codes, in ladder order; `used_fallback` is path >= PATH_LSTSQ.
@@ -77,16 +79,22 @@ class LocalInterpolant:
         return self.solve_path >= PATH_LSTSQ
 
     def __call__(self, x) -> np.ndarray:
-        return eval_local(self, x)
+        """Evaluate Z at x (shape (3,) or (..., 3))."""
+        return eval_local(self.kernel, self.degree, self.centers, self.a, self.b, x)
 
 
-def eval_local(interp: LocalInterpolant, x) -> np.ndarray:
-    """Evaluate Z at x (shape (3,) or (..., 3))."""
+def eval_local(kernel, degree: int, centers, a, b, x) -> np.ndarray:
+    """Values Z(x) of local interpolants, broadcast over leading axes.
+
+    centers (..., m, 3), a (..., m) and b (..., (L+1)^2) describe the local
+    fits; x (..., 3) holds the points.  The leading axes of the fits and of
+    the points broadcast against each other.
+    """
     x = np.asarray(x, dtype=float)
-    dots = np.clip(x @ interp.centers.T, -1.0, 1.0)
-    out = interp.kernel.at_cos(dots) @ interp.a
-    if interp.degree >= 0:
-        out = out + harmonics.sh_basis(x, interp.degree) @ interp.b
+    dots = np.clip(np.einsum("...ik,...k->...i", centers, x), -1.0, 1.0)
+    out = np.einsum("...i,...i->...", kernel.at_cos(dots), a)
+    if degree >= 0:
+        out = out + np.einsum("...u,...u->...", harmonics.sh_basis(x, degree), b)
     return out
 
 
@@ -101,23 +109,34 @@ def _validate_sizes(m: int, degree: int) -> int:
 
 
 def _lu_solve(M, rhs):
-    """Batched LU solve; returns (sol, singular).
+    """Batched LU solve, LADDER_CHUNK systems per call; returns (sol, singular).
 
-    Rows whose matrix is exactly singular in double precision are left at
-    zero and flagged, so that they fail the residual check and go straight
-    to the extended-precision rung.
+    A chunk that holds exactly singular systems (a zero pivot, which
+    `slogdet` reports as sign 0) is solved again with an identity in their
+    place, restored afterwards.  They are left at zero and flagged, so that
+    they fail the residual check and go straight to the extended-precision
+    rung; every other system gets its plain LU solution.
     """
+    sol = np.empty_like(rhs)
     singular = np.zeros(len(M), dtype=bool)
-    try:
-        return np.linalg.solve(M, rhs[..., None])[..., 0], singular
-    except np.linalg.LinAlgError:
-        sol = np.zeros_like(rhs)
-        for i in range(len(M)):
-            try:
-                sol[i] = np.linalg.solve(M[i], rhs[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return sol, singular
+    for lo in range(0, len(M), LADDER_CHUNK):
+        rows = slice(lo, lo + LADDER_CHUNK)
+        try:
+            sol[rows] = np.linalg.solve(M[rows], rhs[rows, :, None])[..., 0]
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        chunk = M[rows]
+        bad = np.linalg.slogdet(chunk)[0] == 0.0
+        saved = chunk[bad]
+        chunk[bad] = np.eye(chunk.shape[-1])
+        try:
+            sol[rows] = np.linalg.solve(chunk, rhs[rows, :, None])[..., 0]
+        finally:
+            chunk[bad] = saved
+        sol[rows][bad] = 0.0
+        singular[rows] = bad
+    return sol, singular
 
 
 def _residual_norms(M, rhs, sol):

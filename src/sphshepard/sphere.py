@@ -56,7 +56,3 @@ class SphericalCap:
     def contains(self, p) -> np.ndarray:
         """True where geodesic_distance(center, p) <= radius."""
         return geodesic_distance(self.center, p) <= self.radius
-
-
-def cap_contains(cap: SphericalCap, p) -> np.ndarray:
-    return cap.contains(p)

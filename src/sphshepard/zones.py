@@ -18,19 +18,52 @@ Neighborhood radii come from
     delta = arccos(1 - 2*sqrt(k)*m/n),    k = 1, 2, ...
 
 which sizes a cap holding about sqrt(k)*m of n uniformly scattered points.
-``nearest_m`` escalates k until the cap holds at least m points, then keeps
-the m nearest; the argument of arccos is clamped to [-1, 1], so the radius
-saturates at pi (the whole sphere) and the escalation always terminates.
+``ZoneIndex.nearest_m`` escalates k until the cap holds at least m points,
+then keeps the m nearest; the argument of arccos is clamped to [-1, 1], so
+the radius saturates at pi (the whole sphere) and the escalation always
+terminates.
+
+Batched query.  ``nearest_m`` takes one center or a stack of them.  At each
+radius it groups the pending centers by strip; the centers of one strip
+share one candidate window, a contiguous slice of the z-sorted points, and
+neighbouring strips share one block, with the union of their windows, while
+the block's dot-product matrix stays within SEARCH_BLOCK entries.  One BLAS
+product gives the dot products of a block's centers with its window, and
+only candidates whose dot product is at least
+cos(radius) - PREFILTER_MARGIN go on to the exact distance, the clamped
+arccos of ``geodesic_distance``, the arithmetic a brute-force scan uses.
+Candidates are kept when that distance is <= radius and ordered by
+(distance, id); centers whose cap still holds fewer than m points are
+queried again at the next k.
+
+The prefilter drops no point the exact test keeps.  The BLAS dot product
+and the three-term sum inside ``geodesic_distance`` each lie within
+3.4e-16 * |u||v| of the exact dot product, so they differ by at most
+7e-16 for unit vectors.  A distance computed as <= r < pi means a clamped
+dot product of at least cos(r) less a few 1e-16 (cos and arccos are
+accurate to about an ulp, and cos has slope at most 1).  The margin, 1e-12,
+covers both with room to spare, also for points a little off unit length.
+At radius pi every candidate is kept.  The m nearest by (distance, id) do
+not depend on the strip width or on the radius at which a center was
+satisfied, so results are exactly those of a brute-force (distance, id)
+sort, tie order included, and one index serves searches for any m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sphere import geodesic_distance
+
+# See the module docstring for why this margin loses no point.
+PREFILTER_MARGIN = 1e-12
+
+# Upper bound on the entries of one block's center-by-window dot-product
+# matrix, which bounds the working memory of a batched query.
+SEARCH_BLOCK = 1 << 18
 
 
 def compute_delta(n: int, m: int, k: int = 1) -> float:
@@ -41,9 +74,18 @@ def compute_delta(n: int, m: int, k: int = 1) -> float:
     return float(np.arccos(np.clip(arg, -1.0, 1.0)))
 
 
+def _strips(z, delta: float, q: int) -> np.ndarray:
+    """1-based strip of each z coordinate, by colatitude."""
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    return np.minimum((theta // delta).astype(int) + 1, q)
+
+
 @dataclass(frozen=True)
 class NeighborSet:
-    """Query result: original point indices and geodesic distances, ascending."""
+    """Query result: original point indices and geodesic distances, ascending.
+
+    One query gives 1-D arrays; a batch of p queries gives (p, m) arrays.
+    """
 
     ids: np.ndarray
     distances: np.ndarray
@@ -73,8 +115,13 @@ class ZoneIndex:
         """Original indices of the points in strip k."""
         return self.ids[self.strip_slice(k)]
 
-    def _strip_of(self, theta: float) -> int:
-        return min(int(theta // self.delta) + 1, self.zone_count)
+    def _window(self, k: int, radius: float) -> tuple[int, int]:
+        """Rows [lo, hi) of the strips a cap of `radius` centered in strip k can reach."""
+        q = self.zone_count
+        i_star = math.ceil(radius / self.delta)
+        k_lo = max(1, k - i_star)
+        k_hi = min(q, k + i_star)
+        return int(self.zone_offsets[q - k_hi]), int(self.zone_offsets[q - k_lo + 1])
 
     def query_cap(self, center, radius: float) -> NeighborSet:
         """All points within geodesic `radius` of `center`, nearest first.
@@ -85,16 +132,9 @@ class ZoneIndex:
         """
         if not 0.0 < radius <= np.pi:
             raise ValueError(f"radius must be in (0, pi], got {radius}")
-        if self.points.shape[0] == 0:
-            return NeighborSet(np.empty(0, dtype=int), np.empty(0))
         center = np.asarray(center, dtype=float)
-        theta = float(np.arccos(np.clip(center[2], -1.0, 1.0)))
-        k = self._strip_of(theta)
-        i_star = math.ceil(radius / self.delta)
-        k_lo = max(1, k - i_star)
-        k_hi = min(self.zone_count, k + i_star)
-        lo = int(self.zone_offsets[self.zone_count - k_hi])
-        hi = int(self.zone_offsets[self.zone_count - k_lo + 1])
+        k = int(_strips(center[2], self.delta, self.zone_count))
+        lo, hi = self._window(k, radius)
         dists = geodesic_distance(self.points[lo:hi], center)
         inside = dists <= radius
         cand_ids = self.ids[lo:hi][inside]
@@ -102,22 +142,88 @@ class ZoneIndex:
         order = np.lexsort((cand_ids, cand_dists))
         return NeighborSet(cand_ids[order], cand_dists[order])
 
-    def nearest_m(self, center, m: int, n_formula: int | None = None) -> NeighborSet:
-        """The m nearest points to `center`, via escalating cap queries."""
+    def nearest_m(self, centers, m: int, n_formula: int | None = None) -> NeighborSet:
+        """The m nearest points to each center, via escalating cap queries.
+
+        `centers` is one point, shape (3,), giving 1-D ids and distances, or
+        a stack of shape (p, 3), giving (p, m) arrays.  Radii escalate as
+        compute_delta(n_formula, m, k), with n_formula defaulting to the
+        number of indexed points.
+        """
         n_pts = self.points.shape[0]
         if m < 1 or m > n_pts:
             raise ValueError(f"m must be in 1..{n_pts}, got {m}")
         if n_formula is None:
             n_formula = n_pts
+        centers = np.asarray(centers, dtype=float)
+        single = centers.ndim == 1
+        centers = centers.reshape(-1, 3)
+        ids = np.empty((centers.shape[0], m), dtype=self.ids.dtype)
+        dists = np.empty((centers.shape[0], m))
+        pending = np.arange(centers.shape[0])
         k = 1
-        while True:
+        while pending.size:
             radius = compute_delta(n_formula, m, k)
-            found = self.query_cap(center, radius)
-            if len(found) >= m:
-                return NeighborSet(found.ids[:m], found.distances[:m])
-            if radius >= np.pi:
+            pending = self._fill_nearest(centers, pending, radius, m, ids, dists)
+            if pending.size and radius >= np.pi:
                 raise AssertionError("whole-sphere query returned fewer points than exist")
             k += 1
+        if single:
+            return NeighborSet(ids[0], dists[0])
+        return NeighborSet(ids, dists)
+
+    def _fill_nearest(self, centers, pending, radius, m, ids, dists) -> np.ndarray:
+        """Fill the rows `pending` of ids/dists whose cap of `radius` holds m points.
+
+        Centers are grouped by strip.  Runs of neighbouring strips share one
+        block, with the union of their windows, while the block's dot-product
+        matrix stays within SEARCH_BLOCK entries.  Returns the rows left pending.
+        """
+        floor = np.cos(radius) - PREFILTER_MARGIN if radius < np.pi else -np.inf
+        strip = _strips(centers[pending, 2], self.delta, self.zone_count)
+        order = np.argsort(-strip, kind="stable")  # strips in array order
+        pending, strip = pending[order], strip[order]
+        bounds = [0, *(np.flatnonzero(strip[1:] != strip[:-1]) + 1), strip.size]
+        windows = [self._window(int(strip[b]), radius) for b in bounds[:-1]]
+        left = []
+        g = 0
+        while g < len(windows):
+            lo, h = windows[g][0], g + 1
+            while h < len(windows) and (
+                (bounds[h + 1] - bounds[g]) * (windows[h][1] - lo) <= SEARCH_BLOCK
+            ):
+                h += 1
+            hi = windows[h - 1][1]
+            step = max(1, SEARCH_BLOCK // max(hi - lo, 1))
+            for b0 in range(bounds[g], bounds[h], step):
+                block = pending[b0 : min(b0 + step, bounds[h])]
+                left.append(self._fill_block(centers, block, lo, hi, floor, radius, m, ids, dists))
+            g = h
+        return np.concatenate(left) if left else pending[:0]
+
+    def _fill_block(self, centers, block, lo, hi, floor, radius, m, ids, dists) -> np.ndarray:
+        """Search rows [lo, hi) for the centers of `block`; returns those not filled."""
+        x = centers[block]
+        window = self.points[lo:hi]
+        row, col = np.divmod(np.flatnonzero(x @ window.T >= floor), hi - lo)
+        d = geodesic_distance(window[col], x[row])
+        inside = d <= radius
+        row, col, d = row[inside], col[inside], d[inside]
+        counts = np.bincount(row, minlength=block.size)
+        full = counts >= m
+        if full.any():
+            # One padded row of candidates per center, sorted by (distance, id).
+            pos = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+            cand_d = np.full((block.size, counts.max()), np.inf)
+            cand_id = np.zeros(cand_d.shape, dtype=self.ids.dtype)
+            cand_d[row, pos] = d
+            cand_id[row, pos] = self.ids[lo + col]
+            cand_d, cand_id = cand_d[full], cand_id[full]
+            order = np.lexsort((cand_id, cand_d), axis=-1)[:, :m]
+            rows = np.arange(order.shape[0])[:, None]
+            ids[block[full]] = cand_id[rows, order]
+            dists[block[full]] = cand_d[rows, order]
+        return block[~full]
 
 
 def build_zones(points, delta: float) -> ZoneIndex:
@@ -128,8 +234,7 @@ def build_zones(points, delta: float) -> ZoneIndex:
     q = math.ceil(np.pi / delta)
     order = np.argsort(points[:, 2], kind="stable")
     sorted_pts = points[order]
-    theta = np.arccos(np.clip(sorted_pts[:, 2], -1.0, 1.0))
-    strip = np.minimum((theta // delta).astype(int) + 1, q)
+    strip = _strips(sorted_pts[:, 2], delta, q)
     counts = np.bincount(q - strip, minlength=q)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     return ZoneIndex(
@@ -139,18 +244,3 @@ def build_zones(points, delta: float) -> ZoneIndex:
         zone_count=q,
         zone_offsets=offsets,
     )
-
-
-def query_cap(index: ZoneIndex, center, radius: float) -> NeighborSet:
-    return index.query_cap(center, radius)
-
-
-def nearest_m(points, center, m: int, m_formula_n: int | None = None) -> NeighborSet:
-    """m nearest of `points` to `center` (builds a one-shot zone index)."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    if m_formula_n is None:
-        m_formula_n = points.shape[0]
-    if m < 1 or m > points.shape[0]:
-        raise ValueError(f"m must be in 1..{points.shape[0]}, got {m}")
-    index = build_zones(points, compute_delta(m_formula_n, m, 1))
-    return index.nearest_m(center, m, n_formula=m_formula_n)

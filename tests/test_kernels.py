@@ -4,7 +4,6 @@ import pytest
 from sphshepard import (
     ConfigError,
     InverseMultiquadric,
-    eval_kernel,
     kernel_matrix,
     make_kernel,
     normalize,
@@ -13,18 +12,18 @@ from sphshepard import (
 
 def test_imq_at_zero_distance():
     # c = 1 collapses to 1/(1 - gamma)
-    assert eval_kernel(InverseMultiquadric(0.5), 0.0) == pytest.approx(2.0, abs=1e-15)
+    assert InverseMultiquadric(0.5)(0.0) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_imq_at_pi():
     # c = -1 gives 1/(1 + gamma)
-    assert eval_kernel(InverseMultiquadric(0.5), np.pi) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert InverseMultiquadric(0.5)(np.pi) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_imq_sharp_shape_at_right_angle():
     # direct arithmetic oracle: (1 + 0.96^2 - 0)^(-1/2)
     expect = (1.0 + 0.96**2) ** -0.5
-    assert eval_kernel(InverseMultiquadric(0.96), np.pi / 2) == pytest.approx(expect, abs=1e-15)
+    assert InverseMultiquadric(0.96)(np.pi / 2) == pytest.approx(expect, abs=1e-15)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.5])
@@ -64,7 +63,7 @@ def test_kernel_matrix_positive_definite():
 def test_kernel_strictly_decreasing():
     kernel = InverseMultiquadric(0.5)
     t = np.linspace(0.0, np.pi, 200)
-    vals = eval_kernel(kernel, t)
+    vals = kernel(t)
     assert np.all(np.diff(vals) < 0.0)
 
 

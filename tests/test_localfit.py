@@ -10,7 +10,6 @@ from sphshepard import (
     InverseMultiquadric,
     SolveError,
     build_local_interpolant,
-    eval_local,
     normalize,
     sh_basis,
     sh_dim,
@@ -42,21 +41,21 @@ def test_two_poles_constant_augmentation():
     z = build_local_interpolant(nodes, [1.0, 1.0], IMQ, 0)
     assert z.a == pytest.approx([0.0, 0.0], abs=1e-12)
     assert z.b == pytest.approx([2.0 * math.sqrt(math.pi)], abs=1e-12)
-    assert eval_local(z, np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+    assert z(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interpolates_its_own_nodes():
     nodes = rand_points(15, 0)
     values = np.sin(3.0 * nodes[:, 0]) + nodes[:, 1]
     z = build_local_interpolant(nodes, values, IMQ, 2)
-    got = eval_local(z, nodes)
+    got = z(nodes)
     assert np.max(np.abs(got - values)) <= 1e-8 * np.linalg.norm(values)
 
 
 def test_zero_data_gives_zero_function():
     nodes = rand_points(12, 1)
     z = build_local_interpolant(nodes, np.zeros(12), IMQ, 1)
-    assert np.max(np.abs(eval_local(z, rand_points(40, 2)))) == 0.0
+    assert np.max(np.abs(z(rand_points(40, 2)))) == 0.0
 
 
 def test_reproduces_degree_one_coordinate():
@@ -65,7 +64,7 @@ def test_reproduces_degree_one_coordinate():
     nodes = rand_points(10, 3)
     z = build_local_interpolant(nodes, nodes[:, 2], IMQ, 1)
     held_out = rand_points(50, 4)
-    assert np.max(np.abs(eval_local(z, held_out) - held_out[:, 2])) <= 1e-8
+    assert np.max(np.abs(z(held_out) - held_out[:, 2])) <= 1e-8
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -75,7 +74,7 @@ def test_reproduces_random_harmonics(degree, seed=20):
     z = build_local_interpolant(nodes, g(nodes), IMQ, degree)
     pts = rand_points(60, seed + 2)
     expect = g(pts)
-    assert np.max(np.abs(eval_local(z, pts) - expect)) <= 1e-7 * (1.0 + np.max(np.abs(expect)))
+    assert np.max(np.abs(z(pts) - expect)) <= 1e-7 * (1.0 + np.max(np.abs(expect)))
 
 
 def test_moment_conditions_hold():
@@ -95,7 +94,7 @@ def test_permutation_invariance():
     z_perm = build_local_interpolant(nodes[perm], values[perm], IMQ, 2)
     assert np.max(np.abs(z_perm.a - z.a[perm])) <= 1e-12 * (1.0 + np.abs(z.a).max())
     pts = rand_points(30, 9)
-    assert np.max(np.abs(eval_local(z_perm, pts) - eval_local(z, pts))) <= 1e-12
+    assert np.max(np.abs(z_perm(pts) - z(pts))) <= 1e-12
 
 
 def test_solution_unique_under_shuffled_assembly():
@@ -105,7 +104,7 @@ def test_solution_unique_under_shuffled_assembly():
     shuffle = np.random.default_rng(11).permutation(15)
     z2 = build_local_interpolant(nodes[shuffle], values[shuffle], IMQ, 1)
     pts = rand_points(40, 12)
-    assert np.max(np.abs(eval_local(z1, pts) - eval_local(z2, pts))) <= 1e-10
+    assert np.max(np.abs(z1(pts) - z2(pts))) <= 1e-10
 
 
 def test_neighborhood_smaller_than_basis_rejected():
@@ -131,7 +130,7 @@ def test_consistent_duplicate_nodes_use_fallback():
     z = build_local_interpolant(nodes, values, IMQ, -1)
     assert z.used_fallback
     assert z.solve_path == localfit.PATH_LSTSQ
-    got = eval_local(z, nodes)
+    got = z(nodes)
     assert np.max(np.abs(got - values)) <= 1e-8 * np.linalg.norm(values)
 
 
@@ -194,6 +193,24 @@ def test_extended_rung_flags_singular_row_only():
     assert solved.tolist() == others.tolist()
     assert alone_solved.all()
     assert np.array_equal(got[others], alone)
+
+
+@pytest.mark.parametrize("chunk", [256, 3])
+def test_lu_solve_flags_singular_row_and_keeps_the_others(monkeypatch, chunk):
+    monkeypatch.setattr(localfit, "LADDER_CHUNK", chunk)
+    pts, vals = neighborhoods(1000, 33)
+    pts, vals = pts[:20].copy(), vals[:20].copy()
+    pts[5, 1] = pts[5, 0]  # duplicate node: an exactly singular system
+    _, _, M, rhs = localfit._saddle_systems(IMQ, -1, pts, vals)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M, rhs[..., None])
+    before = M.copy()
+    sol, singular = localfit._lu_solve(M, rhs)
+    assert np.nonzero(singular)[0].tolist() == [5]
+    assert not sol[5].any()
+    assert np.array_equal(M, before)
+    for i in np.nonzero(~singular)[0]:
+        assert np.array_equal(sol[i], np.linalg.solve(M[i], rhs[i]))
 
 
 @pytest.mark.parametrize("degree", [-1, 2])

@@ -3,6 +3,7 @@ import pytest
 
 from sphshepard import (
     ConfigError,
+    DataError,
     InverseMultiquadric,
     ShepardConfig,
     evaluate,
@@ -15,6 +16,7 @@ from sphshepard import (
     spiral_points,
     weights,
 )
+from sphshepard import shepard
 from sphshepard.localfit import PATH_LSTSQ, PATH_MISSED
 
 
@@ -47,13 +49,27 @@ def test_fit_needs_enough_nodes():
         fit(rand_points(10, 0), np.zeros(10), ShepardConfig(n_z=15))
 
 
+def test_fit_rejects_non_finite_node():
+    nodes = rand_points(50, 0)
+    nodes[7, 1] = np.nan
+    with pytest.raises(DataError, match="node 7"):
+        fit(nodes, np.zeros(50), ShepardConfig())
+
+
+def test_fit_rejects_non_finite_value():
+    values = np.zeros(50)
+    values[3] = np.inf
+    with pytest.raises(DataError, match="node 3"):
+        fit(rand_points(50, 0), values, ShepardConfig())
+
+
 # ------------------------------------------------------------------ fit
 
 
 def test_every_local_is_centered_on_its_node():
     model, nodes, _ = make_model(n=120, seed=1)
     assert np.array_equal(model.neighbor_ids[:, 0], np.arange(120))
-    assert np.array_equal(model.centers[:, 0], nodes)
+    assert np.array_equal(nodes[model.neighbor_ids[:, 0]], nodes)
 
 
 def test_constant_data_reproduced_by_every_local():
@@ -191,6 +207,59 @@ def test_more_weight_neighbors_than_nodes_is_clamped():
     model = fit(nodes, values, ShepardConfig(n_z=15, n_w=40, degree=0))
     got = evaluate(model, spiral_points(20).points)
     assert np.all(np.isfinite(got))
+
+
+def test_evaluate_reuses_the_fitted_index(monkeypatch):
+    model, _, _ = make_model(n=100, seed=25)
+    assert model.index.points.shape == (100, 3)
+
+    def no_build(*args):
+        raise AssertionError("evaluate built a zone index")
+
+    monkeypatch.setattr(shepard, "build_zones", no_build)
+    assert np.all(np.isfinite(evaluate(model, rand_points(5, 26))))
+
+
+def test_evaluate_rejects_non_finite_point():
+    model, _, _ = make_model(n=50, seed=20)
+    pts = rand_points(4, 21)
+    pts[2, 0] = np.inf
+    with pytest.raises(DataError, match="point 2"):
+        evaluate(model, pts)
+
+
+def reference_blend(model, points, gamma, degree, n_w=10):
+    """The blend one point at a time from brute-force neighbours and the
+    kernel's chord form; returns (values, sum of term magnitudes)."""
+    nodes = model.nodes
+    values, scale = [], []
+    for x in points:
+        chord = np.linalg.norm(nodes - x, axis=1)
+        near = np.lexsort((np.arange(len(nodes)), chord))[:n_w]
+        g = 2.0 * np.arcsin(np.minimum(0.5 * chord[near], 1.0))
+        if g[0] <= 1e-12:
+            w = (np.arange(n_w) == 0).astype(float)
+        else:
+            w = (1.0 / g) / np.sum(1.0 / g)
+        rel = nodes[model.neighbor_ids[near]] - x
+        # 1 + gamma^2 - 2 gamma cos t == (1 - gamma)^2 + gamma |x - y|^2
+        psi = ((1.0 - gamma) ** 2 + gamma * np.sum(rel * rel, axis=-1)) ** -0.5
+        terms = np.hstack([model.coeff_a[near] * psi, model.coeff_b[near] * sh_basis(x, degree)])
+        local = terms.sum(axis=1)
+        values.append(w @ local)
+        scale.append(w @ np.abs(terms).sum(axis=1) + abs(w @ local))
+    return np.array(values), np.array(scale)
+
+
+@pytest.mark.parametrize("degree", [-1, 2])
+def test_batched_evaluate_matches_reference_blend(degree):
+    model, nodes, _ = make_model(n=400, seed=22, degree=degree)
+    rng = np.random.default_rng(23)
+    near_nodes = normalize(nodes[:20] + 1e-9 * rng.normal(size=(20, 3)))
+    pts = np.vstack([rand_points(300, 24), nodes[20:40], near_nodes])
+    got = evaluate(model, pts)
+    want, scale = reference_blend(model, pts, 0.5, degree)
+    assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale)
 
 
 def test_evaluate_is_deterministic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphshepard import SphericalCap, cap_contains, geodesic_distance, normalize
+from sphshepard import SphericalCap, geodesic_distance, normalize
 
 
 def test_normalize_scales_axis_vector():
@@ -85,12 +85,12 @@ def test_cap_whole_sphere_contains_everything():
 
 def test_cap_contains_center():
     cap = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.1)
-    assert cap_contains(cap, np.array([0.0, 0.0, 1.0]))
+    assert cap.contains(np.array([0.0, 0.0, 1.0]))
 
 
 def test_cap_excludes_distant_point():
     cap = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.1)
-    assert not cap_contains(cap, np.array([1.0, 0.0, 0.0]))
+    assert not cap.contains(np.array([1.0, 0.0, 0.0]))
 
 
 def test_cap_radius_validated():

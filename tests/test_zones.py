@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphshepard import (
-    build_zones,
-    compute_delta,
-    geodesic_distance,
-    nearest_m,
-    normalize,
-    query_cap,
-)
+from sphshepard import build_zones, compute_delta, geodesic_distance, normalize, zones
 
 AXIS_POINTS = np.array(
     [
@@ -154,24 +147,25 @@ def test_query_cap_distance_ties_break_by_id():
 
 
 def test_nearest_all_points():
-    found = nearest_m(AXIS_POINTS, [0.0, 0.0, 1.0], 6)
+    found = build_zones(AXIS_POINTS, np.pi / 4).nearest_m([0.0, 0.0, 1.0], 6)
     assert len(found) == 6
     assert np.all(np.diff(found.distances) >= 0.0)
     assert found.ids[0] == 4
 
 
 def test_nearest_self_distance_zero():
-    found = nearest_m(AXIS_POINTS, [0.0, 0.0, 1.0], 1)
+    found = build_zones(AXIS_POINTS, np.pi / 4).nearest_m([0.0, 0.0, 1.0], 1)
     assert found.ids.tolist() == [4]
     assert found.distances[0] == 0.0
 
 
 def test_nearest_matches_brute_force():
     pts = rand_points(500, 4)
+    ix = build_zones(pts, compute_delta(500, 15, 1))
     rng = np.random.default_rng(5)
     for _ in range(50):
         center = normalize(rng.normal(size=3))
-        found = nearest_m(pts, center, 15, 500)
+        found = ix.nearest_m(center, 15, n_formula=500)
         assert np.array_equal(found.ids, brute_force_nearest(pts, center, 15))
 
 
@@ -180,13 +174,13 @@ def test_nearest_escalates_on_clustered_points():
     # find nothing and the escalation must keep growing the cap.
     rng = np.random.default_rng(6)
     pts = normalize(np.array([0.0, 0.0, 1.0]) + 0.01 * rng.normal(size=(40, 3)))
-    found = nearest_m(pts, np.array([0.0, 0.0, -1.0]), 5, 40)
+    found = build_zones(pts, compute_delta(40, 5, 1)).nearest_m(np.array([0.0, 0.0, -1.0]), 5)
     assert np.array_equal(found.ids, brute_force_nearest(pts, np.array([0.0, 0.0, -1.0]), 5))
 
 
 def test_nearest_rejects_m_larger_than_point_count():
     with pytest.raises(ValueError):
-        nearest_m(AXIS_POINTS, [0.0, 0.0, 1.0], 7)
+        build_zones(AXIS_POINTS, np.pi / 4).nearest_m([0.0, 0.0, 1.0], 7)
 
 
 def test_escalation_radius_saturates():
@@ -200,4 +194,100 @@ def test_query_radius_validated():
     ix = build_zones(AXIS_POINTS, np.pi / 4)
     for bad in (0.0, -1.0, 4.0):
         with pytest.raises(ValueError):
-            query_cap(ix, [0.0, 0.0, 1.0], bad)
+            ix.query_cap([0.0, 0.0, 1.0], bad)
+
+
+# ------------------------------------------------------------------ batched nearest
+
+
+def per_point_nearest(ix, center, m, n_formula):
+    """The escalating search one center at a time, through query_cap: the oracle."""
+    k = 1
+    while True:
+        found = ix.query_cap(center, compute_delta(n_formula, m, k))
+        if len(found) >= m:
+            return found.ids[:m], found.distances[:m]
+        k += 1
+
+
+def brute_force_nearest_batch(points, centers, m):
+    """(ids, distances) of the m nearest by a full (distance, id) sort."""
+    d = geodesic_distance(points[None, :, :], centers[:, None, :])
+    ids = np.broadcast_to(np.arange(points.shape[0]), d.shape)
+    order = np.lexsort((ids, d), axis=-1)[:, :m]
+    return order, np.take_along_axis(d, order, axis=1)
+
+
+def assert_same_neighbors(found, ids, dists):
+    assert np.array_equal(found.ids, ids)
+    assert np.array_equal(found.distances, dists)
+
+
+@pytest.mark.parametrize("block", [zones.SEARCH_BLOCK, 7])
+def test_batched_nearest_equals_stacked_single_queries(monkeypatch, block):
+    monkeypatch.setattr(zones, "SEARCH_BLOCK", block)
+    pts = rand_points(500, 20)
+    ix = build_zones(pts, compute_delta(500, 15, 1))
+    centers = np.vstack([pts[:100], rand_points(100, 21)])
+    for m in (1, 10, 15):
+        found = ix.nearest_m(centers, m, n_formula=500)
+        assert found.ids.shape == found.distances.shape == (200, m)
+        singles = [ix.nearest_m(c, m, n_formula=500) for c in centers]
+        assert_same_neighbors(
+            found, np.stack([s.ids for s in singles]), np.stack([s.distances for s in singles])
+        )
+        loops = [per_point_nearest(ix, c, m, 500) for c in centers]
+        assert_same_neighbors(found, np.stack([i for i, _ in loops]), np.stack([d for _, d in loops]))
+
+
+def test_batched_nearest_matches_brute_force_with_ties():
+    ix = build_zones(AXIS_POINTS, np.pi / 4)
+    centers = np.vstack([AXIS_POINTS, normalize(np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]]))])
+    for m in range(1, 7):
+        assert_same_neighbors(ix.nearest_m(centers, m), *brute_force_nearest_batch(AXIS_POINTS, centers, m))
+    # The four equatorial points tie at pi/2 from the north pole.
+    assert ix.nearest_m(centers[4], 5).ids.tolist() == [4, 0, 1, 2, 3]
+
+
+def test_batched_nearest_at_poles_and_strip_boundaries():
+    pts = rand_points(500, 22)
+    delta = compute_delta(500, 15, 1)
+    ix = build_zones(pts, delta)
+    theta = np.append(np.arange(ix.zone_count) * delta, np.pi)
+    phi = np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, theta.size)
+    centers = np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
+    assert centers[0].tolist() == [0.0, 0.0, 1.0] and centers[-1][2] == -1.0
+    assert_same_neighbors(
+        ix.nearest_m(centers, 15, n_formula=500), *brute_force_nearest_batch(pts, centers, 15)
+    )
+
+
+def test_batched_nearest_escalates_past_k2_on_clustered_nodes():
+    rng = np.random.default_rng(24)
+    pts = normalize(np.array([0.0, 0.0, 1.0]) + 0.05 * rng.normal(size=(300, 3)))
+    centers = np.vstack([pts[:20], rand_points(30, 25), [[0.0, 0.0, -1.0]]])
+    ix = build_zones(pts, compute_delta(300, 10, 1))
+    # The k=2 cap around the south pole is empty, so that query needs k >= 3.
+    assert len(ix.query_cap(centers[-1], compute_delta(300, 10, 2))) == 0
+    assert_same_neighbors(ix.nearest_m(centers, 10), *brute_force_nearest_batch(pts, centers, 10))
+
+
+def test_batched_nearest_with_zero_queries():
+    ix = build_zones(rand_points(50, 26), 0.5)
+    found = ix.nearest_m(np.empty((0, 3)), 5)
+    assert found.ids.shape == found.distances.shape == (0, 5)
+    assert len(found) == 0
+
+
+def test_batched_nearest_matches_kd_tree_at_scale():
+    spatial = pytest.importorskip("scipy.spatial")
+    nodes = rand_points(16000, 27)
+    ix = build_zones(nodes, compute_delta(16000, 15, 1))
+    for centers, m in ((nodes, 15), (rand_points(2000, 28), 10)):
+        found = ix.nearest_m(centers, m, n_formula=16000)
+        # Chord order is geodesic order, so the tree finds the same sets.
+        _, want = spatial.cKDTree(nodes).query(centers, k=m)
+        assert np.array_equal(np.sort(found.ids, axis=1), np.sort(want, axis=1))
+        assert np.array_equal(found.distances, geodesic_distance(nodes[found.ids], centers[:, None]))
