@@ -12,8 +12,8 @@ from .datasets import (
 )
 from .errors import ConfigError, DataError, SolveError
 from .harmonics import sh_basis, sh_dim
-from .kernels import InverseMultiquadric, kernel_matrix, make_kernel
-from .localfit import LocalInterpolant, build_local_interpolant, eval_local
+from .kernels import InverseMultiquadric, kernel_matrix
+from .localfit import LocalInterpolant, eval_local
 from .metrics import ErrorReport, error_report, rrmse
 from .shepard import ShepardConfig, ShepardModel, evaluate, fit, weights
 from .sphere import SphericalCap, geodesic_distance, normalize
@@ -34,7 +34,6 @@ __all__ = [
     "SolveError",
     "SphericalCap",
     "ZoneIndex",
-    "build_local_interpolant",
     "build_zones",
     "compute_delta",
     "error_report",
@@ -44,7 +43,6 @@ __all__ = [
     "geodesic_distance",
     "kernel_matrix",
     "load_csv",
-    "make_kernel",
     "normalize",
     "random_uniform_sphere",
     "rrmse",

@@ -8,9 +8,10 @@ interpolate  fit a model to a node file and evaluate it on an evaluation file
 benchmark    run an accuracy grid over (function, n, L, seed), write a table
              CSV, a shape-parameter sweep CSV, and a median summary
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-Parameter precedence: command-line flags > config file (key=value lines) >
-built-in defaults (gamma=0.5, n_z=15, n_w=10, degree=-1).
+Exit codes: 0 success, 2 usage error (ConfigError), 3 data error,
+4 numerical failure.  Parameter precedence: command-line flags > config
+file (key=value lines) > the defaults of ShepardConfig.  The parameter
+ranges are checked by ShepardConfig and InverseMultiquadric.
 """
 
 from __future__ import annotations
@@ -26,27 +27,14 @@ import numpy as np
 
 from . import datasets, metrics, shepard
 from .errors import ConfigError, DataError, SolveError
-from .kernels import make_kernel
+from .kernels import InverseMultiquadric
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-MAX_CLI_DEGREE = 2
-
-DEFAULTS = {
-    "gamma": 0.5,
-    "degree": -1,
-    "nz": 15,
-    "nw": 10,
-}
-
 GAMMA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _read_config(path) -> dict:
@@ -64,38 +52,27 @@ def _read_config(path) -> dict:
 
 
 def _resolve_params(args) -> dict:
-    """Merge flags over config-file values over defaults."""
+    """Merge flags over config-file values over the ShepardConfig defaults."""
     config = _read_config(args.config) if getattr(args, "config", None) else {}
-    cast = {"gamma": float, "degree": int, "nz": int, "nw": int}
+    base = shepard.ShepardConfig()
+    defaults = {"gamma": base.kernel.gamma, "degree": base.degree, "nz": base.n_z, "nw": base.n_w}
     params = {}
-    for key, default in DEFAULTS.items():
+    for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = flag
         elif key in config:
-            params[key] = cast[key](config[key])
+            params[key] = type(default)(config[key])
         else:
             params[key] = default
     return params
 
 
-def _validate_params(params) -> shepard.ShepardConfig:
-    if not -1 <= params["degree"] <= MAX_CLI_DEGREE:
-        raise UsageError(
-            f"--degree must be between -1 and {MAX_CLI_DEGREE}, got {params['degree']}"
-        )
-    if not 0.0 < params["gamma"] < 1.0:
-        raise UsageError(f"--gamma must lie strictly in (0, 1), got {params['gamma']}")
-    min_nz = (params["degree"] + 1) ** 2
-    if params["nz"] < min_nz:
-        raise UsageError(
-            f"n_z must satisfy the necessary condition n_z >= (L+1)^2: "
-            f"got n_z={params['nz']} < {min_nz} for degree L={params['degree']}"
-        )
+def _build_config(params) -> shepard.ShepardConfig:
     return shepard.ShepardConfig(
         n_z=params["nz"],
         n_w=params["nw"],
-        kernel=make_kernel("imq", params["gamma"]),
+        kernel=InverseMultiquadric(params["gamma"]),
         degree=params["degree"],
     )
 
@@ -110,15 +87,15 @@ def _print_report(report: metrics.ErrorReport) -> None:
 def cmd_generate(args) -> int:
     if args.kind == "spiral":
         if args.n < 2:
-            raise UsageError(f"spiral needs --n >= 2, got {args.n}")
+            raise ConfigError(f"spiral needs --n >= 2, got {args.n}")
         data = datasets.spiral_points(args.n)
     elif args.kind == "random":
         if args.n < 1:
-            raise UsageError(f"--n must be positive, got {args.n}")
+            raise ConfigError(f"--n must be positive, got {args.n}")
         data = datasets.random_uniform_sphere(args.n, args.seed)
     else:  # geomagnetic-synth
         if args.n < 1:
-            raise UsageError(f"--n must be positive, got {args.n}")
+            raise ConfigError(f"--n must be positive, got {args.n}")
         data = datasets.synthetic_geomagnetic(args.n, args.seed, noise=args.noise)
     if args.function is not None:
         data = datasets.PointSet(data.points, datasets.test_function(args.function, data.points))
@@ -128,7 +105,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    config = _validate_params(_resolve_params(args))
+    config = _build_config(_resolve_params(args))
     nodes = datasets.load_csv(args.nodes, geo=args.geo)
     if nodes.values is None:
         raise DataError(f"node file {args.nodes} carries no data values")
@@ -146,7 +123,7 @@ def _float_list(text: str, cast=float) -> list:
     try:
         return [cast(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise UsageError(f"could not parse list {text!r}")
+        raise ConfigError(f"could not parse list {text!r}")
 
 
 def _bench_cell(nodes, values, eval_pts, truth, config):
@@ -157,6 +134,15 @@ def _bench_cell(nodes, values, eval_pts, truth, config):
     t2 = time.perf_counter()
     rep = metrics.error_report(predicted, truth)
     return rep, t1 - t0, t2 - t1
+
+
+def _bench_row(label, seed, s, config, nodes, values, eval_pts, truth) -> dict:
+    """One benchmark.csv row: fit `nodes`, evaluate at `eval_pts`, score."""
+    rep, t_fit, t_eval = _bench_cell(nodes, values, eval_pts, truth, config)
+    return dict(function=label, n=len(nodes), L=config.degree, seed=seed,
+                gamma=config.kernel.gamma, n_z=config.n_z, n_w=config.n_w,
+                s=s, rrmse=rep.rrmse, rmse=rep.rmse, max_abs_error=rep.max_abs_error,
+                fit_seconds=t_fit, eval_seconds=t_eval)
 
 
 def _summary_table(rows, degrees, ns, params, seeds, s, label) -> str:
@@ -178,12 +164,11 @@ def _summary_table(rows, degrees, ns, params, seeds, s, label) -> str:
 def cmd_benchmark(args) -> int:
     params = _resolve_params(args)
     degrees = _float_list(args.degrees, int)
-    for L in degrees:
-        _validate_params({**params, "degree": L})
-    _validate_params(params)
+    configs = {L: _build_config({**params, "degree": L}) for L in degrees}
+    _build_config(params)  # also rejects a bad --degree, and any bad value if --degrees is empty
     seeds = list(range(args.seed, args.seed + args.seeds))
     if not seeds:
-        raise UsageError("--seeds must be at least 1")
+        raise ConfigError("--seeds must be at least 1")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -191,7 +176,7 @@ def cmd_benchmark(args) -> int:
     if args.nodes is not None:
         # Cross-validation on a node file: hold out `--holdout` points per seed.
         if args.holdout < 1:
-            raise UsageError("file benchmarks need --holdout >= 1")
+            raise ConfigError("file benchmarks need --holdout >= 1")
         data = datasets.load_csv(args.nodes, geo=args.geo)
         if data.values is None:
             raise DataError(f"node file {args.nodes} carries no data values")
@@ -201,24 +186,16 @@ def cmd_benchmark(args) -> int:
         for seed in seeds:
             train, test = datasets.split_cross_validation(data, args.holdout, seed)
             for L in degrees:
-                config = _validate_params({**params, "degree": L})
-                rep, t_fit, t_eval = _bench_cell(
-                    train.points, train.values, test.points, test.values, config
-                )
-                bench_rows.append(
-                    dict(function=label, n=len(train), L=L, seed=seed,
-                         gamma=params["gamma"], n_z=params["nz"], n_w=params["nw"],
-                         s=args.holdout, rrmse=rep.rrmse, rmse=rep.rmse,
-                         max_abs_error=rep.max_abs_error,
-                         fit_seconds=t_fit, eval_seconds=t_eval)
-                )
+                bench_rows.append(_bench_row(label, seed, args.holdout, configs[L],
+                                             train.points, train.values,
+                                             test.points, test.values))
     else:
         if args.s < 2:
-            raise UsageError(f"--s must be at least 2 evaluation points, got {args.s}")
+            raise ConfigError(f"--s must be at least 2 evaluation points, got {args.s}")
         functions = args.function or ["f1"]
         ns = _float_list(args.n, int)
         if not ns or min(ns) < params["nz"]:
-            raise UsageError(f"every --n must be >= n_z={params['nz']}, got {args.n!r}")
+            raise ConfigError(f"every --n must be >= n_z={params['nz']}, got {args.n!r}")
         eval_pts = datasets.spiral_points(args.s).points
         for fid in functions:
             truth = datasets.test_function(fid, eval_pts)
@@ -227,15 +204,8 @@ def cmd_benchmark(args) -> int:
                     nodes = datasets.random_uniform_sphere(n, seed).points
                     values = datasets.test_function(fid, nodes)
                     for L in degrees:
-                        config = _validate_params({**params, "degree": L})
-                        rep, t_fit, t_eval = _bench_cell(nodes, values, eval_pts, truth, config)
-                        bench_rows.append(
-                            dict(function=fid, n=n, L=L, seed=seed,
-                                 gamma=params["gamma"], n_z=params["nz"], n_w=params["nw"],
-                                 s=args.s, rrmse=rep.rrmse, rmse=rep.rmse,
-                                 max_abs_error=rep.max_abs_error,
-                                 fit_seconds=t_fit, eval_seconds=t_eval)
-                        )
+                        bench_rows.append(_bench_row(fid, seed, args.s, configs[L],
+                                                     nodes, values, eval_pts, truth))
 
     table_path = outdir / "benchmark.csv"
     cols = ["function", "n", "L", "seed", "gamma", "n_z", "n_w", "s",
@@ -267,10 +237,8 @@ def cmd_benchmark(args) -> int:
                     # The extreme shape-parameter corners are too
                     # ill-conditioned for the strict residual contract;
                     # the sweep reports their best-effort accuracy.
-                    config = replace(
-                        _validate_params({**params, "degree": L, "gamma": gamma}),
-                        strict=False,
-                    )
+                    config = replace(configs[L], kernel=InverseMultiquadric(gamma),
+                                     strict=False)
                     rep, _, _ = _bench_cell(nodes, values, eval_pts, truth, config)
                     fh.write(f"{fid},{n},{L},{seed},{gamma},{rep.rrmse!r}\n")
         print(f"wrote shape-parameter sweep to {sweep_path}")
@@ -341,7 +309,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError) as exc:

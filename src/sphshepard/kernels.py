@@ -42,18 +42,6 @@ class InverseMultiquadric:
         return self.at_cos(np.cos(t))
 
 
-# Registry for CLI/config lookup; additional families slot in here.
-KERNELS = {"imq": InverseMultiquadric}
-
-
-def make_kernel(family: str, gamma: float):
-    try:
-        cls = KERNELS[family]
-    except KeyError:
-        raise ConfigError(f"unknown kernel family {family!r}; known: {sorted(KERNELS)}")
-    return cls(gamma)
-
-
 def kernel_matrix(kernel, nodes) -> np.ndarray:
     """Symmetric matrix A[i, j] = psi(g(x_i, x_j)) over unit-vector nodes.
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonics
-from .errors import ConfigError, SolveError
+from .errors import SolveError
 
 log = logging.getLogger(__name__)
 
@@ -96,16 +96,6 @@ def eval_local(kernel, degree: int, centers, a, b, x) -> np.ndarray:
     if degree >= 0:
         out = out + np.einsum("...u,...u->...", harmonics.sh_basis(x, degree), b)
     return out
-
-
-def _validate_sizes(m: int, degree: int) -> int:
-    u = harmonics.sh_dim(degree)
-    if m < u:
-        raise ConfigError(
-            f"augmentation of degree {degree} needs at least (L+1)^2 = {u} "
-            f"nodes per neighborhood, got {m}"
-        )
-    return u
 
 
 def _lu_solve(M, rhs):
@@ -240,7 +230,7 @@ def _saddle_systems(kernel, degree, pts, vals):
     """
     pts = np.asarray(pts, dtype=float)
     n, m, _ = pts.shape
-    u = _validate_sizes(m, degree)
+    u = harmonics.sh_dim(degree)
 
     A = kernel.at_cos(np.clip(np.einsum("nik,njk->nij", pts, pts), -1.0, 1.0))
     Y = harmonics.sh_basis(pts, degree)
@@ -318,30 +308,3 @@ def _residuals_ok(A, Y, vals, a, b, rtol):
         )
     return ok
 
-
-def build_local_interpolant(
-    nodes, values, kernel, degree: int, rtol: float = DEFAULT_RTOL, node_index=None
-) -> LocalInterpolant:
-    """Fit one neighborhood: nodes (m, 3), values (m,)."""
-    nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.shape[0] != nodes.shape[0]:
-        raise ValueError(
-            f"got {nodes.shape[0]} nodes but {values.shape[0]} values"
-        )
-    a, b, path = solve_saddle_batch(
-        kernel,
-        degree,
-        nodes[None],
-        values[None],
-        rtol=rtol,
-        node_indices=None if node_index is None else [node_index],
-    )
-    return LocalInterpolant(
-        centers=nodes,
-        a=a[0],
-        b=b[0],
-        kernel=kernel,
-        degree=degree,
-        solve_path=int(path[0]),
-    )

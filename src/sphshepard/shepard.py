@@ -28,6 +28,7 @@ from . import harmonics
 from .errors import ConfigError, DataError
 from .kernels import InverseMultiquadric
 from .localfit import DEFAULT_RTOL, PATH_LSTSQ, LocalInterpolant, eval_local, solve_saddle_batch
+from .sphere import NORM_TOL
 from .zones import ZoneIndex, build_zones, compute_delta
 
 # Geodesic distance at or below which an evaluation point is treated as one
@@ -47,6 +48,11 @@ EVAL_CHUNK = 1024
 class ShepardConfig:
     """Localization parameters and local-fit family for one model.
 
+    Construction checks every parameter and raises ConfigError for
+    n_z or n_w below 1, a degree L outside -1..harmonics.MAX_DEGREE,
+    n_z < (L+1)^2, or an `rtol` that is not finite and positive; the
+    kernel checks its own shape parameter.
+
     ``strict=False`` keeps the best-effort solution when a local system
     cannot meet `rtol` (instead of raising); the fit marks such
     neighborhoods `missed` in the model's `solve_path` and logs a warning.
@@ -64,12 +70,18 @@ class ShepardConfig:
             raise ConfigError(
                 f"neighborhood sizes must be positive, got n_z={self.n_z}, n_w={self.n_w}"
             )
+        if not -1 <= self.degree <= harmonics.MAX_DEGREE:
+            raise ConfigError(
+                f"degree L must be between -1 and {harmonics.MAX_DEGREE}, got {self.degree}"
+            )
         u = harmonics.sh_dim(self.degree)
         if self.n_z < u:
             raise ConfigError(
                 f"n_z must satisfy n_z >= (L+1)^2; got n_z={self.n_z} < {u} "
                 f"for degree L={self.degree}"
             )
+        if not 0.0 < self.rtol < np.inf:
+            raise ConfigError(f"rtol must be finite and positive, got {self.rtol}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +105,6 @@ class ShepardModel:
         """(n,) bool, neighborhoods that reached the least-squares rung."""
         return self.solve_path >= PATH_LSTSQ
 
-    @property
-    def local_fits(self) -> list[LocalInterpolant]:
-        """Per-node LocalInterpolant views (locals[j] is centered on node j)."""
-        return [self.local_fit(j) for j in range(self.nodes.shape[0])]
-
     def local_fit(self, j: int) -> LocalInterpolant:
         return LocalInterpolant(
             centers=self.nodes[self.neighbor_ids[j]],
@@ -109,26 +116,43 @@ class ShepardModel:
         )
 
 
-def _finite(array, what: str) -> None:
-    """Raise DataError naming the first row of `array` that is not finite."""
-    bad = ~np.isfinite(array)
-    if bad.ndim > 1:
-        bad = bad.any(axis=1)
-    if bad.any():
-        raise DataError(f"{what} {int(np.argmax(bad))} is not finite")
+def _unit_points(points, what: str) -> np.ndarray:
+    """`points` as a (p, 3) array, checked to be finite unit vectors.
+
+    Accepts one point (3,) or a stack (p, 3) whose rows have length 1 within
+    NORM_TOL; otherwise raises DataError naming the first offending row.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
+        raise DataError(f"{what}s must have shape (3,) or (p, 3), got {pts.shape}")
+    pts = pts.reshape(-1, 3)
+    # einsum does not warn on overflow: a huge row gets length inf.
+    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    off = np.abs(norms - 1.0)
+    if not off.max(initial=0.0) <= NORM_TOL:  # a NaN fails the comparison too
+        i = int(np.argmax(~(off <= NORM_TOL)))
+        if not np.all(np.isfinite(pts[i])):
+            raise DataError(f"{what} {i} is not finite")
+        raise DataError(f"{what} {i} has length {norms[i]!r}, not 1 within {NORM_TOL:g}")
+    return pts
 
 
 def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
-    """Fit one local interpolant per node on its n_z nearest nodes."""
-    nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
+    """Fit one local interpolant per node on its n_z nearest nodes.
+
+    nodes: finite unit vectors (3,) or (n, 3); values: n finite numbers.
+    Other input raises DataError.
+    """
+    nodes = _unit_points(nodes, "node")
     values = np.asarray(values, dtype=float).reshape(-1)
     n = nodes.shape[0]
     if values.shape[0] != n:
-        raise ValueError(f"got {n} nodes but {values.shape[0]} values")
+        raise DataError(f"got {n} nodes but {values.shape[0]} values")
     if n < config.n_z:
         raise ConfigError(f"need at least n_z={config.n_z} nodes, got {n}")
-    _finite(nodes, "node")
-    _finite(values, "value of node")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DataError(f"value of node {int(np.argmax(bad))} is not finite")
 
     index = build_zones(nodes, compute_delta(n, config.n_z, 1))
     neighbor_ids = index.nearest_m(nodes, config.n_z, n_formula=n).ids
@@ -182,9 +206,11 @@ def weights(x, model: ShepardModel, neighbor_ids, neighbor_dists) -> np.ndarray:
 
 
 def evaluate(model: ShepardModel, eval_points) -> np.ndarray:
-    """Evaluate the blended surface at each evaluation point."""
-    pts = np.asarray(eval_points, dtype=float).reshape(-1, 3)
-    _finite(pts, "evaluation point")
+    """Evaluate the blended surface at each evaluation point.
+
+    eval_points: finite unit vectors (3,) or (p, 3), else DataError.
+    """
+    pts = _unit_points(eval_points, "evaluation point")
     n = model.nodes.shape[0]
     found = model.index.nearest_m(pts, min(model.config.n_w, n), n_formula=n)
     out = np.empty(pts.shape[0])

@@ -73,6 +73,19 @@ def test_interpolate_rejects_degree_above_cli_cap(tmp_path):
                 "--out", tmp_path / "o.csv", "--degree", 3, "--nz", 20]) == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--degree", -2, "degree L must be between -1 and 2, got -2"),
+    ("--nw", 0, "neighborhood sizes must be positive"),
+])
+def test_interpolate_rejects_config_out_of_range(tmp_path, capsys, flag, value, message):
+    nodes = tmp_path / "n.csv"
+    run(["generate", "random", "--n", 50, "--seed", 0, "--function", "f1", "--out", nodes])
+    code = run(["interpolate", "--nodes", nodes, "--eval", nodes,
+                "--out", tmp_path / "o.csv", flag, value])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_interpolate_missing_file_is_data_error(tmp_path):
     assert run(["interpolate", "--nodes", tmp_path / "nope.csv",
                 "--eval", tmp_path / "nope.csv", "--out", tmp_path / "o.csv"]) == 3

@@ -5,7 +5,6 @@ from sphshepard import (
     ConfigError,
     InverseMultiquadric,
     kernel_matrix,
-    make_kernel,
     normalize,
 )
 
@@ -30,13 +29,6 @@ def test_imq_sharp_shape_at_right_angle():
 def test_gamma_outside_open_interval_rejected(gamma):
     with pytest.raises(ConfigError):
         InverseMultiquadric(gamma)
-
-
-def test_make_kernel_registry():
-    k = make_kernel("imq", 0.3)
-    assert isinstance(k, InverseMultiquadric)
-    with pytest.raises(ConfigError):
-        make_kernel("nope", 0.3)
 
 
 def test_kernel_matrix_single_node():

@@ -6,10 +6,9 @@ import pytest
 
 from sphshepard import localfit
 from sphshepard import (
-    ConfigError,
     InverseMultiquadric,
+    LocalInterpolant,
     SolveError,
-    build_local_interpolant,
     normalize,
     sh_basis,
     sh_dim,
@@ -28,9 +27,19 @@ def random_harmonic(degree, seed):
     return lambda p: sh_basis(p, degree) @ coeffs
 
 
+def fit_one(nodes, values, degree, node_index=None):
+    """Fit one neighborhood as a batch of one; nodes (m, 3), values (m,)."""
+    nodes = np.asarray(nodes, dtype=float)
+    a, b, path = localfit.solve_saddle_batch(
+        IMQ, degree, nodes[None], np.asarray(values, dtype=float)[None],
+        node_indices=None if node_index is None else [node_index],
+    )
+    return LocalInterpolant(nodes, a[0], b[0], IMQ, degree, solve_path=int(path[0]))
+
+
 def test_single_node_no_augmentation():
     # 1x1 system with A = [psi(0)] = [2]:  a = v / 2
-    z = build_local_interpolant(np.array([[0.0, 0.0, 1.0]]), [3.0], IMQ, -1)
+    z = fit_one(np.array([[0.0, 0.0, 1.0]]), [3.0], -1)
     assert z.a == pytest.approx([1.5], abs=1e-14)
     assert z.b.shape == (0,)
 
@@ -38,7 +47,7 @@ def test_single_node_no_augmentation():
 def test_two_poles_constant_augmentation():
     # Moment condition plus symmetry force a = 0 and Y0 * b = 1.
     nodes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    z = build_local_interpolant(nodes, [1.0, 1.0], IMQ, 0)
+    z = fit_one(nodes, [1.0, 1.0], 0)
     assert z.a == pytest.approx([0.0, 0.0], abs=1e-12)
     assert z.b == pytest.approx([2.0 * math.sqrt(math.pi)], abs=1e-12)
     assert z(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
@@ -47,14 +56,14 @@ def test_two_poles_constant_augmentation():
 def test_interpolates_its_own_nodes():
     nodes = rand_points(15, 0)
     values = np.sin(3.0 * nodes[:, 0]) + nodes[:, 1]
-    z = build_local_interpolant(nodes, values, IMQ, 2)
+    z = fit_one(nodes, values, 2)
     got = z(nodes)
     assert np.max(np.abs(got - values)) <= 1e-8 * np.linalg.norm(values)
 
 
 def test_zero_data_gives_zero_function():
     nodes = rand_points(12, 1)
-    z = build_local_interpolant(nodes, np.zeros(12), IMQ, 1)
+    z = fit_one(nodes, np.zeros(12), 1)
     assert np.max(np.abs(z(rand_points(40, 2)))) == 0.0
 
 
@@ -62,7 +71,7 @@ def test_reproduces_degree_one_coordinate():
     # z is in the degree-1 harmonic span, so the fit must reproduce it
     # everywhere, not just at the nodes.
     nodes = rand_points(10, 3)
-    z = build_local_interpolant(nodes, nodes[:, 2], IMQ, 1)
+    z = fit_one(nodes, nodes[:, 2], 1)
     held_out = rand_points(50, 4)
     assert np.max(np.abs(z(held_out) - held_out[:, 2])) <= 1e-8
 
@@ -71,7 +80,7 @@ def test_reproduces_degree_one_coordinate():
 def test_reproduces_random_harmonics(degree, seed=20):
     g = random_harmonic(degree, seed)
     nodes = rand_points(15, seed + 1)
-    z = build_local_interpolant(nodes, g(nodes), IMQ, degree)
+    z = fit_one(nodes, g(nodes), degree)
     pts = rand_points(60, seed + 2)
     expect = g(pts)
     assert np.max(np.abs(z(pts) - expect)) <= 1e-7 * (1.0 + np.max(np.abs(expect)))
@@ -80,7 +89,7 @@ def test_reproduces_random_harmonics(degree, seed=20):
 def test_moment_conditions_hold():
     nodes = rand_points(15, 5)
     values = np.random.default_rng(6).normal(size=15)
-    z = build_local_interpolant(nodes, values, IMQ, 2)
+    z = fit_one(nodes, values, 2)
     basis = sh_basis(nodes, 2)
     bound = 1e-8 * np.linalg.norm(z.a) * np.abs(basis).max(axis=0)
     assert np.all(np.abs(basis.T @ z.a) <= bound)
@@ -89,9 +98,9 @@ def test_moment_conditions_hold():
 def test_permutation_invariance():
     nodes = rand_points(14, 7)
     values = np.cos(2.0 * nodes[:, 1])
-    z = build_local_interpolant(nodes, values, IMQ, 2)
+    z = fit_one(nodes, values, 2)
     perm = np.random.default_rng(8).permutation(14)
-    z_perm = build_local_interpolant(nodes[perm], values[perm], IMQ, 2)
+    z_perm = fit_one(nodes[perm], values[perm], 2)
     assert np.max(np.abs(z_perm.a - z.a[perm])) <= 1e-12 * (1.0 + np.abs(z.a).max())
     pts = rand_points(30, 9)
     assert np.max(np.abs(z_perm(pts) - z(pts))) <= 1e-12
@@ -100,16 +109,11 @@ def test_permutation_invariance():
 def test_solution_unique_under_shuffled_assembly():
     nodes = rand_points(15, 10)
     values = np.exp(nodes[:, 0])
-    z1 = build_local_interpolant(nodes, values, IMQ, 1)
+    z1 = fit_one(nodes, values, 1)
     shuffle = np.random.default_rng(11).permutation(15)
-    z2 = build_local_interpolant(nodes[shuffle], values[shuffle], IMQ, 1)
+    z2 = fit_one(nodes[shuffle], values[shuffle], 1)
     pts = rand_points(40, 12)
     assert np.max(np.abs(z1(pts) - z2(pts))) <= 1e-10
-
-
-def test_neighborhood_smaller_than_basis_rejected():
-    with pytest.raises(ConfigError):
-        build_local_interpolant(rand_points(8, 13), np.zeros(8), IMQ, 2)
 
 
 def test_inconsistent_duplicate_nodes_fail_with_context():
@@ -118,7 +122,7 @@ def test_inconsistent_duplicate_nodes_fail_with_context():
     values = np.zeros(10)
     values[0], values[1] = 0.0, 1.0  # same node, contradictory data
     with pytest.raises(SolveError) as err:
-        build_local_interpolant(nodes, values, IMQ, -1, node_index=7)
+        fit_one(nodes, values, -1, node_index=7)
     assert err.value.node_index == 7
     assert "7" in str(err.value)
 
@@ -127,16 +131,11 @@ def test_consistent_duplicate_nodes_use_fallback():
     nodes = rand_points(10, 15)
     nodes[1] = nodes[0]
     values = np.exp(nodes[:, 2])
-    z = build_local_interpolant(nodes, values, IMQ, -1)
+    z = fit_one(nodes, values, -1)
     assert z.used_fallback
     assert z.solve_path == localfit.PATH_LSTSQ
     got = z(nodes)
     assert np.max(np.abs(got - values)) <= 1e-8 * np.linalg.norm(values)
-
-
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        build_local_interpolant(rand_points(5, 16), np.zeros(4), IMQ, -1)
 
 
 # ------------------------------------------------------------------ retry ladder

@@ -42,6 +42,13 @@ def test_config_validates_neighborhood_sizes():
         ShepardConfig(n_w=0)
     with pytest.raises(ConfigError):
         ShepardConfig(n_z=8, degree=2)  # 8 < (2+1)^2
+    with pytest.raises(ConfigError, match="degree"):
+        ShepardConfig(n_z=20, degree=3)  # above harmonics.MAX_DEGREE
+    with pytest.raises(ConfigError, match="degree"):
+        ShepardConfig(degree=-2)
+    for rtol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="rtol"):
+            ShepardConfig(rtol=rtol)
 
 
 def test_fit_needs_enough_nodes():
@@ -61,6 +68,29 @@ def test_fit_rejects_non_finite_value():
     values[3] = np.inf
     with pytest.raises(DataError, match="node 3"):
         fit(rand_points(50, 0), values, ShepardConfig())
+
+
+def test_length_mismatch_rejected():
+    with pytest.raises(DataError, match="50 nodes but 49 values"):
+        fit(rand_points(50, 0), np.zeros(49), ShepardConfig())
+
+
+def off_sphere(points):
+    """Copies of `points` whose row 5 is scaled by 3, by 1 + 1e-10 and by
+    1e200 (its squared length overflows), or zeroed."""
+    copies = [points.copy() for _ in range(4)]
+    for bad, scale in zip(copies, (3.0, 1.0 + 1e-10, 1e200, 0.0)):
+        bad[5] *= scale
+    return copies
+
+
+def test_fit_rejects_points_off_the_unit_sphere():
+    nodes = rand_points(50, 0)
+    for bad in off_sphere(nodes):
+        with pytest.raises(DataError, match="node 5 has length"):
+            fit(bad, np.zeros(50), ShepardConfig())
+    with pytest.raises(DataError, match=r"shape \(3,\) or \(p, 3\)"):
+        fit(nodes[:, :2], np.zeros(50), ShepardConfig())
 
 
 # ------------------------------------------------------------------ fit
@@ -226,6 +256,21 @@ def test_evaluate_rejects_non_finite_point():
     pts[2, 0] = np.inf
     with pytest.raises(DataError, match="point 2"):
         evaluate(model, pts)
+
+
+def test_evaluate_rejects_points_off_the_unit_sphere():
+    model, _, _ = make_model(n=50, seed=20)
+    pts = rand_points(8, 21)
+    for bad in off_sphere(pts):
+        with pytest.raises(DataError, match="point 5 has length"):
+            evaluate(model, bad)
+    with pytest.raises(DataError, match="point 0 has length"):
+        evaluate(model, np.array([2.0, 0.0, 0.0]))
+    # (30, 2) would reshape to 20 points of 3 coordinates.
+    with pytest.raises(DataError, match=r"shape \(3,\) or \(p, 3\)"):
+        evaluate(model, rand_points(30, 22)[:, :2])
+    with pytest.raises(DataError, match=r"shape \(3,\) or \(p, 3\)"):
+        evaluate(model, pts[None])
 
 
 def reference_blend(model, points, gamma, degree, n_w=10):
