@@ -62,7 +62,11 @@ def _resolve_params(args) -> dict:
         if flag is not None:
             params[key] = flag
         elif key in config:
-            params[key] = type(default)(config[key])
+            try:
+                params[key] = type(default)(config[key])
+            except ValueError:
+                kind = type(default).__name__
+                raise ConfigError(f"config value {key} = {config[key]!r} is not a valid {kind}") from None
         else:
             params[key] = default
     return params

@@ -11,12 +11,13 @@ system
     [ A   Y ] [a]   [f]
     [ Y^T 0 ] [b] = [0],     A[i,j] = psi(g(x_i, x_j)),  Y[i,k] = Y_k(x_i).
 
-All systems are solved once by batched dense LU with partial pivoting and
-checked against the interpolation and moment tolerances.  On dense node
-sets the kernel block is nearly flat and its condition number can pass
-1/eps, so only the neighborhoods that miss the check climb a retry ladder,
-in chunks of LADDER_CHUNK rows; each rung takes the rows the one before
-left failing and keeps its answer only where it lowers the full residual:
+Neighborhoods are solved SOLVE_CHUNK at a time: a chunk's systems are
+assembled, solved once by batched dense LU with partial pivoting and checked
+against the interpolation and moment tolerances.  On dense node sets the
+kernel block is nearly flat and its condition number can pass 1/eps, so the
+chunk's neighborhoods that miss the check climb a retry ladder; each rung
+takes the rows the one before left failing and keeps its answer only where
+it lowers the full residual:
 
     refined   keep-best iterative refinement of the LU solution;
     extended  LU with partial pivoting in extended precision, vectorized
@@ -52,13 +53,13 @@ MOMENT_ABS_FLOOR = 1e-10
 
 _REFINE_STEPS = 3
 
-# The first LU solves this many systems per call, and failing rows climb the
-# ladder this many at a time, which bounds the ladder's copies of the systems
-# (extended-precision ones included) and what an exactly singular system
-# costs the first solve.
-LADDER_CHUNK = 256
+# Neighborhoods assembled, solved and escalated together.  This bounds the
+# systems held at once (the ladder's extended-precision copies included) and
+# what an exactly singular system costs its chunk's first solve; 1024 rows
+# are no faster and peak higher.
+SOLVE_CHUNK = 256
 
-# Solve-path codes, in ladder order; `used_fallback` is path >= PATH_LSTSQ.
+# Solve-path codes, in ladder order.
 PATH_LU, PATH_REFINED, PATH_EXTENDED, PATH_LSTSQ, PATH_MISSED = range(5)
 PATH_NAMES = ("lu", "refined", "extended", "lstsq", "missed")
 
@@ -73,10 +74,6 @@ class LocalInterpolant:
     kernel: object
     degree: int
     solve_path: int = PATH_LU
-
-    @property
-    def used_fallback(self) -> bool:
-        return self.solve_path >= PATH_LSTSQ
 
     def __call__(self, x) -> np.ndarray:
         """Evaluate Z at x (shape (3,) or (..., 3))."""
@@ -99,7 +96,7 @@ def eval_local(kernel, degree: int, centers, a, b, x) -> np.ndarray:
 
 
 def _lu_solve(M, rhs):
-    """Batched LU solve, LADDER_CHUNK systems per call; returns (sol, singular).
+    """Batched LU solve of one chunk of systems; returns (sol, singular).
 
     A chunk that holds exactly singular systems (a zero pivot, which
     `slogdet` reports as sign 0) is solved again with an identity in their
@@ -107,25 +104,18 @@ def _lu_solve(M, rhs):
     they fail the residual check and go straight to the extended-precision
     rung; every other system gets its plain LU solution.
     """
-    sol = np.empty_like(rhs)
-    singular = np.zeros(len(M), dtype=bool)
-    for lo in range(0, len(M), LADDER_CHUNK):
-        rows = slice(lo, lo + LADDER_CHUNK)
-        try:
-            sol[rows] = np.linalg.solve(M[rows], rhs[rows, :, None])[..., 0]
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        chunk = M[rows]
-        bad = np.linalg.slogdet(chunk)[0] == 0.0
-        saved = chunk[bad]
-        chunk[bad] = np.eye(chunk.shape[-1])
-        try:
-            sol[rows] = np.linalg.solve(chunk, rhs[rows, :, None])[..., 0]
-        finally:
-            chunk[bad] = saved
-        sol[rows][bad] = 0.0
-        singular[rows] = bad
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0], np.zeros(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    singular = np.linalg.slogdet(M)[0] == 0.0
+    saved = M[singular]
+    M[singular] = np.eye(M.shape[-1])
+    try:
+        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
+    finally:
+        M[singular] = saved
+    sol[singular] = 0.0
     return sol, singular
 
 
@@ -228,7 +218,6 @@ def _saddle_systems(kernel, degree, pts, vals):
 
     A is a view of M's kernel block, so the batch is held in memory once.
     """
-    pts = np.asarray(pts, dtype=float)
     n, m, _ = pts.shape
     u = harmonics.sh_dim(degree)
 
@@ -257,29 +246,31 @@ def solve_saddle_batch(
     marks it PATH_MISSED (used by parameter sweeps that must stay finite in
     ill-conditioned corners of the shape-parameter range).
     """
+    pts = np.asarray(pts, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    A, Y, M, rhs = _saddle_systems(kernel, degree, pts, vals)
     n, m = vals.shape
-    u = Y.shape[-1]
-
-    sol, singular = _lu_solve(M, rhs)
-    a, b = sol[:, :m], sol[:, m:]
+    sol = np.empty((n, m + harmonics.sh_dim(degree)))
     path = np.full(n, PATH_LU, dtype=np.uint8)
-    failing = np.nonzero(~_residuals_ok(A, Y, vals, a, b, rtol))[0]
-    for start in range(0, failing.size, LADDER_CHUNK):
-        rows = failing[start : start + LADDER_CHUNK]
-        sol[rows], path[rows] = _climb_ladder(
-            M[rows], rhs[rows], A[rows], Y[rows], vals[rows], sol[rows], singular[rows], rtol
-        )
-        missed = rows[path[rows] == PATH_MISSED]
+    for lo in range(0, n, SOLVE_CHUNK):
+        rows = slice(lo, lo + SOLVE_CHUNK)
+        f, chunk_path = vals[rows], path[rows]
+        A, Y, M, rhs = _saddle_systems(kernel, degree, pts[rows], f)
+        x, singular = _lu_solve(M, rhs)
+        fail = ~_residuals_ok(A, Y, f, x[:, :m], x[:, m:], rtol)
+        if fail.any():
+            x[fail], chunk_path[fail] = _climb_ladder(
+                M[fail], rhs[fail], A[fail], Y[fail], f[fail], x[fail], singular[fail], rtol
+            )
+        sol[rows] = x
+        missed = np.nonzero(chunk_path == PATH_MISSED)[0]
         if strict and missed.size:
             i = missed[0]
-            idx = node_indices[i] if node_indices is not None else i
-            resid = np.linalg.norm(A[i] @ a[i] + (Y[i] @ b[i] if u else 0.0) - vals[i])
+            idx = node_indices[lo + i] if node_indices is not None else lo + i
+            resid = np.linalg.norm(A[i] @ x[i, :m] + Y[i] @ x[i, m:] - f[i])
             raise SolveError(
                 f"saddle-point solution misses tolerance {rtol:g} "
                 f"(interpolation residual {resid:.3e}, "
-                f"data norm {np.linalg.norm(vals[i]):.3e})",
+                f"data norm {np.linalg.norm(f[i]):.3e})",
                 node_index=idx,
             )
     n_missed = int(np.count_nonzero(path == PATH_MISSED))
@@ -289,7 +280,7 @@ def solve_saddle_batch(
             "their lowest-residual attempts are kept",
             n_missed, n, rtol,
         )
-    return a, b, path
+    return sol[:, :m], sol[:, m:], path
 
 
 def _residuals_ok(A, Y, vals, a, b, rtol):

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .sphere import geodesic_distance
 
 # See the module docstring for why this margin loses no point.
@@ -166,7 +167,9 @@ class ZoneIndex:
             radius = compute_delta(n_formula, m, k)
             pending = self._fill_nearest(centers, pending, radius, m, ids, dists)
             if pending.size and radius >= np.pi:
-                raise AssertionError("whole-sphere query returned fewer points than exist")
+                # The whole-sphere cap holds every finite point.
+                raise DataError(f"center {int(pending.min())} has fewer than {m} points "
+                                "within pi: it or an indexed point is not finite")
             k += 1
         if single:
             return NeighborSet(ids[0], dists[0])

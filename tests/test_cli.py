@@ -124,6 +124,20 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
                 "--out", tmp_path / "o.csv", "--config", cfg, "--gamma", "0.5"]) == 0
 
 
+@pytest.mark.parametrize("line, message", [
+    ("nz = abc", "config value nz = 'abc' is not a valid int"),
+    ("gamma = x", "config value gamma = 'x' is not a valid float"),
+])
+def test_config_file_rejects_unparsable_value(tmp_path, capsys, line, message):
+    nodes = tmp_path / "n.csv"
+    run(["generate", "random", "--n", 60, "--seed", 3, "--function", "f1", "--out", nodes])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes,
+                "--out", tmp_path / "o.csv", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_benchmark_small_grid(tmp_path):
     out = tmp_path / "bench"
     assert run(["benchmark", "--function", "f1", "--n", "120", "--s", 50,

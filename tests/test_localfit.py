@@ -132,7 +132,6 @@ def test_consistent_duplicate_nodes_use_fallback():
     nodes[1] = nodes[0]
     values = np.exp(nodes[:, 2])
     z = fit_one(nodes, values, -1)
-    assert z.used_fallback
     assert z.solve_path == localfit.PATH_LSTSQ
     got = z(nodes)
     assert np.max(np.abs(got - values)) <= 1e-8 * np.linalg.norm(values)
@@ -196,10 +195,10 @@ def test_extended_rung_flags_singular_row_only():
 
 @pytest.mark.parametrize("chunk", [256, 3])
 def test_lu_solve_flags_singular_row_and_keeps_the_others(monkeypatch, chunk):
-    monkeypatch.setattr(localfit, "LADDER_CHUNK", chunk)
     pts, vals = neighborhoods(1000, 33)
     pts, vals = pts[:20].copy(), vals[:20].copy()
-    pts[5, 1] = pts[5, 0]  # duplicate node: an exactly singular system
+    # A consistent duplicate node: an exactly singular system.
+    pts[5, 1], vals[5, 1] = pts[5, 0], vals[5, 0]
     _, _, M, rhs = localfit._saddle_systems(IMQ, -1, pts, vals)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(M, rhs[..., None])
@@ -210,15 +209,56 @@ def test_lu_solve_flags_singular_row_and_keeps_the_others(monkeypatch, chunk):
     assert np.array_equal(M, before)
     for i in np.nonzero(~singular)[0]:
         assert np.array_equal(sol[i], np.linalg.solve(M[i], rhs[i]))
+    # Through the chunk loop, the singular system shares a chunk of `chunk`
+    # rows; it alone climbs the ladder, and the others keep their solutions.
+    monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
+    a, _, path = localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    assert np.nonzero(path != localfit.PATH_LU)[0].tolist() == [5]
+    assert path[5] == localfit.PATH_LSTSQ
+    assert np.array_equal(a[~singular], sol[~singular])
+
+
+def test_equatorial_l1_neighborhood_takes_lstsq_and_spares_its_chunk():
+    pts, vals = neighborhoods(1000, 34)
+    pts, vals = pts[:20].copy(), vals[:20].copy()
+    # Fifteen nodes on the equator: the z harmonic column is exactly 0, so
+    # this L=1 system is exactly singular whatever the data.
+    lon = np.linspace(0.0, 2.0 * np.pi, 15, endpoint=False)
+    pts[9] = np.stack([np.cos(lon), np.sin(lon), np.zeros(15)], axis=1)
+    vals[9] = np.exp(np.cos(lon)) + np.sin(2.0 * lon)
+    _, _, M, rhs = localfit._saddle_systems(IMQ, 1, pts, vals)
+    assert not M[9, :, 15 + 2].any()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M[9], rhs[9])
+    a, b, path = localfit.solve_saddle_batch(IMQ, 1, pts, vals)
+    assert path[9] == localfit.PATH_LSTSQ
+    assert np.isfinite(a[9]).all() and np.isfinite(b[9]).all()
+    for i in range(20):
+        if i != 9:
+            assert path[i] == localfit.PATH_LU
+            assert np.array_equal(np.hstack([a[i], b[i]]), np.linalg.solve(M[i], rhs[i]))
 
 
 @pytest.mark.parametrize("degree", [-1, 2])
 def test_ladder_results_do_not_depend_on_chunk_size(monkeypatch, degree):
     pts, vals = neighborhoods(1000, 0)
-    whole = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
+    assembled = []
+    saddle_systems = localfit._saddle_systems
+
+    def spy(*args):
+        assembled.append(args[2])
+        return saddle_systems(*args)
+
+    monkeypatch.setattr(localfit, "_saddle_systems", spy)
+    results = []
+    for chunk in (localfit.SOLVE_CHUNK, 7):
+        monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
+        assembled.clear()
+        results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False))
+        assert max(len(p) for p in assembled) <= chunk
+        assert np.array_equal(np.concatenate(assembled), pts)
+    whole, chunked = results
     assert np.count_nonzero(whole[2] != localfit.PATH_LU) > 7
-    monkeypatch.setattr(localfit, "LADDER_CHUNK", 7)
-    chunked = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
     for x, y in zip(whole, chunked):
         assert np.array_equal(x, y)
 
@@ -248,7 +288,7 @@ def contradictory_batch():
 
 @pytest.mark.parametrize("chunk", [256, 1])
 def test_strict_error_names_lowest_missing_neighborhood(monkeypatch, chunk):
-    monkeypatch.setattr(localfit, "LADDER_CHUNK", chunk)
+    monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
     pts, vals = contradictory_batch()
     with pytest.raises(SolveError) as err:
         localfit.solve_saddle_batch(IMQ, -1, pts, vals, node_indices=np.arange(100, 108))

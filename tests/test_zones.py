@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphshepard import build_zones, compute_delta, geodesic_distance, normalize, zones
+from sphshepard import DataError, build_zones, compute_delta, geodesic_distance, normalize, zones
 
 AXIS_POINTS = np.array(
     [
@@ -181,6 +181,21 @@ def test_nearest_escalates_on_clustered_points():
 def test_nearest_rejects_m_larger_than_point_count():
     with pytest.raises(ValueError):
         build_zones(AXIS_POINTS, np.pi / 4).nearest_m([0.0, 0.0, 1.0], 7)
+
+
+def test_nearest_names_a_nan_center():
+    ix = build_zones(rand_points(200, 29), compute_delta(200, 15, 1))
+    centers = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]])
+    with pytest.raises(DataError, match="center 2 has fewer than 5 points .* not finite"):
+        ix.nearest_m(centers, 5)
+
+
+def test_nearest_over_a_nan_point_raises_data_error():
+    nodes = rand_points(200, 30)
+    nodes[7] = [np.nan, 0.0, 0.5]
+    ix = build_zones(nodes, compute_delta(200, 15, 1))
+    with pytest.raises(DataError, match="center 0 has fewer than 200 points .* not finite"):
+        ix.nearest_m(rand_points(3, 31), 200)
 
 
 def test_escalation_radius_saturates():
