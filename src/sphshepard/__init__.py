@@ -12,11 +12,11 @@ from .datasets import (
 )
 from .errors import ConfigError, DataError, SolveError
 from .harmonics import sh_basis, sh_dim
-from .kernels import InverseMultiquadric, kernel_matrix
+from .kernels import InverseMultiquadric
 from .localfit import LocalInterpolant, eval_local
 from .metrics import ErrorReport, error_report, rrmse
 from .shepard import ShepardConfig, ShepardModel, evaluate, fit, weights
-from .sphere import SphericalCap, geodesic_distance, normalize
+from .sphere import geodesic_distance, normalize
 from .zones import NeighborSet, ZoneIndex, build_zones, compute_delta
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "ShepardConfig",
     "ShepardModel",
     "SolveError",
-    "SphericalCap",
     "ZoneIndex",
     "build_zones",
     "compute_delta",
@@ -41,7 +40,6 @@ __all__ = [
     "evaluate",
     "fit",
     "geodesic_distance",
-    "kernel_matrix",
     "load_csv",
     "normalize",
     "random_uniform_sphere",

@@ -90,16 +90,10 @@ def _print_report(report: metrics.ErrorReport) -> None:
 
 def cmd_generate(args) -> int:
     if args.kind == "spiral":
-        if args.n < 2:
-            raise ConfigError(f"spiral needs --n >= 2, got {args.n}")
         data = datasets.spiral_points(args.n)
     elif args.kind == "random":
-        if args.n < 1:
-            raise ConfigError(f"--n must be positive, got {args.n}")
         data = datasets.random_uniform_sphere(args.n, args.seed)
     else:  # geomagnetic-synth
-        if args.n < 1:
-            raise ConfigError(f"--n must be positive, got {args.n}")
         data = datasets.synthetic_geomagnetic(args.n, args.seed, noise=args.noise)
     if args.function is not None:
         data = datasets.PointSet(data.points, datasets.test_function(args.function, data.points))
@@ -168,8 +162,9 @@ def _summary_table(rows, degrees, ns, params, seeds, s, label) -> str:
 def cmd_benchmark(args) -> int:
     params = _resolve_params(args)
     degrees = _float_list(args.degrees, int)
+    if not degrees:
+        raise ConfigError("--degrees must list at least one L")
     configs = {L: _build_config({**params, "degree": L}) for L in degrees}
-    _build_config(params)  # also rejects a bad --degree, and any bad value if --degrees is empty
     seeds = list(range(args.seed, args.seed + args.seeds))
     if not seeds:
         raise ConfigError("--seeds must be at least 1")
@@ -271,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--gamma", type=float, default=None, help="kernel shape parameter in (0,1)")
-    common.add_argument("--degree", type=int, default=None,
-                        help="spherical-harmonic augmentation degree L, -1..2")
     common.add_argument("--nz", type=int, default=None, help="local fit neighborhood size")
     common.add_argument("--nw", type=int, default=None, help="weight neighborhood size")
     common.add_argument("--config", default=None, help="key=value config file")
@@ -281,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("interpolate", parents=[common],
                            help="fit a node file and evaluate on a point file")
+    p_int.add_argument("--degree", type=int, default=None,
+                       help="spherical-harmonic augmentation degree L, -1..2")
     p_int.add_argument("--nodes", required=True, help="node CSV with values")
     p_int.add_argument("--eval", required=True, help="evaluation-point CSV")
     p_int.add_argument("--out", required=True, help="output CSV (x,y,z,F)")

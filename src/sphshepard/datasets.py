@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonics
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .sphere import geodesic_distance
 
 
@@ -42,7 +42,7 @@ class PointSet:
 def random_uniform_sphere(n: int, seed: int) -> PointSet:
     """n points uniform on the sphere (normalized Gaussian method)."""
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ConfigError(f"need n >= 1 points, got {n}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, 3))
     norms = np.linalg.norm(pts, axis=1)
@@ -56,7 +56,7 @@ def random_uniform_sphere(n: int, seed: int) -> PointSet:
 def spiral_points(s: int) -> PointSet:
     """s spiral points from the south pole to the north pole."""
     if s < 2:
-        raise ValueError(f"spiral needs s >= 2, got {s}")
+        raise ConfigError(f"a spiral needs s >= 2 points, got {s}")
     z = -1.0 + 2.0 * np.arange(s) / (s - 1)
     sin_theta = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
     phi = np.zeros(s)

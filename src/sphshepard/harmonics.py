@@ -64,38 +64,3 @@ def sh_basis(p, degree: int) -> np.ndarray:
         out[..., 8] = _C22 * (x * x - y * y)
     return out
 
-
-def sphere_quadrature(n_polar: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product quadrature on the sphere: Gauss-Legendre in z, uniform in phi.
-
-    Returns (points, weights) with points of shape (m, 3) and weights summing
-    to 4*pi.  Exact for spherical polynomials of degree <= 2*n_polar - 1.
-    """
-    zs, wz = np.polynomial.legendre.leggauss(n_polar)
-    n_phi = 2 * n_polar + 1
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    r = np.sqrt(1.0 - zs * zs)
-    pts = np.stack(
-        [
-            np.outer(r, np.cos(phis)).ravel(),
-            np.outer(r, np.sin(phis)).ravel(),
-            np.repeat(zs, n_phi),
-        ],
-        axis=-1,
-    )
-    w = np.repeat(wz, n_phi) * (2.0 * np.pi / n_phi)
-    return pts, w
-
-
-def sh_orthonormality_check(degree: int, quadrature_size: int) -> float:
-    """Max deviation |<Y_i, Y_j> - delta_ij| under surface-measure quadrature.
-
-    quadrature_size is the Gauss-Legendre order in z; it must make the rule
-    exact for degree-2L integrands (order >= L + 1 suffices).
-    """
-    if degree == -1:
-        return 0.0
-    pts, w = sphere_quadrature(quadrature_size)
-    basis = sh_basis(pts, degree)
-    gram = basis.T @ (w[:, None] * basis)
-    return float(np.max(np.abs(gram - np.eye(sh_dim(degree)))))

@@ -41,12 +41,3 @@ class InverseMultiquadric:
     def __call__(self, t) -> np.ndarray:
         return self.at_cos(np.cos(t))
 
-
-def kernel_matrix(kernel, nodes) -> np.ndarray:
-    """Symmetric matrix A[i, j] = psi(g(x_i, x_j)) over unit-vector nodes.
-
-    Built from pairwise dot products directly (no arccos/cos round trip).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    dots = np.clip(nodes @ nodes.T, -1.0, 1.0)
-    return kernel.at_cos(dots)

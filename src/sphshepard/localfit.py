@@ -28,8 +28,9 @@ it lowers the full residual:
 
 Every neighborhood carries the code of the rung that met the tolerance
 (`lu` when the first solve did), or `missed` when none did.  A miss raises
-SolveError with the offending neighborhood id, unless ``strict=False``,
-which keeps the lowest-residual attempt and logs one warning per call.
+SolveError with the offending neighborhood's batch row, unless
+``strict=False``, which keeps the lowest-residual attempt and logs one
+warning per call.
 """
 
 from __future__ import annotations
@@ -233,15 +234,13 @@ def _saddle_systems(kernel, degree, pts, vals):
     return M[:, :m, :m], Y, M, rhs
 
 
-def solve_saddle_batch(
-    kernel, degree, pts, vals, rtol=DEFAULT_RTOL, node_indices=None, strict=True
-):
+def solve_saddle_batch(kernel, degree, pts, vals, rtol=DEFAULT_RTOL, strict=True):
     """Solve the saddle-point systems of many equally-sized neighborhoods.
 
     pts: (n, m, 3) neighborhoods, vals: (n, m) data.  Returns (a, b, path)
     with shapes (n, m), (n, U), (n,); `path` holds each neighborhood's
     PATH_* code (uint8).  A neighborhood whose best solution still misses
-    the tolerances raises SolveError naming the lowest such neighborhood,
+    the tolerances raises SolveError naming the lowest such batch row,
     unless ``strict=False``, which keeps the lowest-residual attempt and
     marks it PATH_MISSED (used by parameter sweeps that must stay finite in
     ill-conditioned corners of the shape-parameter range).
@@ -265,13 +264,12 @@ def solve_saddle_batch(
         missed = np.nonzero(chunk_path == PATH_MISSED)[0]
         if strict and missed.size:
             i = missed[0]
-            idx = node_indices[lo + i] if node_indices is not None else lo + i
             resid = np.linalg.norm(A[i] @ x[i, :m] + Y[i] @ x[i, m:] - f[i])
             raise SolveError(
                 f"saddle-point solution misses tolerance {rtol:g} "
                 f"(interpolation residual {resid:.3e}, "
                 f"data norm {np.linalg.norm(f[i]):.3e})",
-                node_index=idx,
+                node_index=lo + i,
             )
     n_missed = int(np.count_nonzero(path == PATH_MISSED))
     if n_missed:

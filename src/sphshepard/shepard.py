@@ -92,7 +92,6 @@ class ShepardModel:
     """
 
     nodes: np.ndarray         # (n, 3)
-    values: np.ndarray        # (n,)
     config: ShepardConfig
     neighbor_ids: np.ndarray  # (n, n_z), row j = nodes fitted by local j
     coeff_a: np.ndarray       # (n, n_z)
@@ -155,19 +154,17 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
         raise DataError(f"value of node {int(np.argmax(bad))} is not finite")
 
     index = build_zones(nodes, compute_delta(n, config.n_z, 1))
-    neighbor_ids = index.nearest_m(nodes, config.n_z, n_formula=n).ids
+    neighbor_ids = index.nearest_m(nodes, config.n_z).ids
     a, b, path = solve_saddle_batch(
         config.kernel,
         config.degree,
         nodes[neighbor_ids],
         values[neighbor_ids],
         rtol=config.rtol,
-        node_indices=np.arange(n),
         strict=config.strict,
     )
     return ShepardModel(
         nodes=nodes,
-        values=values,
         config=config,
         neighbor_ids=neighbor_ids,
         coeff_a=a,
@@ -211,8 +208,7 @@ def evaluate(model: ShepardModel, eval_points) -> np.ndarray:
     eval_points: finite unit vectors (3,) or (p, 3), else DataError.
     """
     pts = _unit_points(eval_points, "evaluation point")
-    n = model.nodes.shape[0]
-    found = model.index.nearest_m(pts, min(model.config.n_w, n), n_formula=n)
+    found = model.index.nearest_m(pts, min(model.config.n_w, model.nodes.shape[0]))
     out = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], EVAL_CHUNK):
         x = pts[lo : lo + EVAL_CHUNK]

@@ -1,4 +1,4 @@
-"""Geometry of the unit sphere: points, geodesic distance, spherical caps.
+"""Geometry of the unit sphere: points and geodesic distance.
 
 Points live in Cartesian coordinates as unit 3-vectors, either a single
 shape ``(3,)`` array or a stack of shape ``(n, 3)``.  All formulas downstream
@@ -7,8 +7,6 @@ latitude/longitude.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +39,3 @@ def geodesic_distance(u, v) -> np.ndarray:
     dots = np.sum(u * v, axis=-1)
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
-
-@dataclass(frozen=True)
-class SphericalCap:
-    """Set of sphere points within geodesic distance `radius` of `center`."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.radius <= np.pi:
-            raise ValueError(f"cap radius must be in [0, pi], got {self.radius}")
-
-    def contains(self, p) -> np.ndarray:
-        """True where geodesic_distance(center, p) <= radius."""
-        return geodesic_distance(self.center, p) <= self.radius

@@ -76,9 +76,9 @@ def compute_delta(n: int, m: int, k: int = 1) -> float:
 
 
 def _strips(z, delta: float, q: int) -> np.ndarray:
-    """1-based strip of each z coordinate, by colatitude."""
+    """1-based strip of each z coordinate, by colatitude; a NaN z gets strip q."""
     theta = np.arccos(np.clip(z, -1.0, 1.0))
-    return np.minimum((theta // delta).astype(int) + 1, q)
+    return np.fmin(theta // delta, q - 1).astype(int) + 1
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,6 @@ class ZoneIndex:
         i = self.zone_count - k
         return slice(int(self.zone_offsets[i]), int(self.zone_offsets[i + 1]))
 
-    def strip_member_ids(self, k: int) -> np.ndarray:
-        """Original indices of the points in strip k."""
-        return self.ids[self.strip_slice(k)]
-
     def _window(self, k: int, radius: float) -> tuple[int, int]:
         """Rows [lo, hi) of the strips a cap of `radius` centered in strip k can reach."""
         q = self.zone_count
@@ -143,19 +139,16 @@ class ZoneIndex:
         order = np.lexsort((cand_ids, cand_dists))
         return NeighborSet(cand_ids[order], cand_dists[order])
 
-    def nearest_m(self, centers, m: int, n_formula: int | None = None) -> NeighborSet:
+    def nearest_m(self, centers, m: int) -> NeighborSet:
         """The m nearest points to each center, via escalating cap queries.
 
         `centers` is one point, shape (3,), giving 1-D ids and distances, or
         a stack of shape (p, 3), giving (p, m) arrays.  Radii escalate as
-        compute_delta(n_formula, m, k), with n_formula defaulting to the
-        number of indexed points.
+        compute_delta(n, m, k), n being the number of indexed points.
         """
         n_pts = self.points.shape[0]
         if m < 1 or m > n_pts:
             raise ValueError(f"m must be in 1..{n_pts}, got {m}")
-        if n_formula is None:
-            n_formula = n_pts
         centers = np.asarray(centers, dtype=float)
         single = centers.ndim == 1
         centers = centers.reshape(-1, 3)
@@ -164,7 +157,7 @@ class ZoneIndex:
         pending = np.arange(centers.shape[0])
         k = 1
         while pending.size:
-            radius = compute_delta(n_formula, m, k)
+            radius = compute_delta(n_pts, m, k)
             pending = self._fill_nearest(centers, pending, radius, m, ids, dists)
             if pending.size and radius >= np.pi:
                 # The whole-sphere cap holds every finite point.
@@ -234,6 +227,10 @@ def build_zones(points, delta: float) -> ZoneIndex:
     if not 0.0 < delta <= np.pi:
         raise ValueError(f"delta must be in (0, pi], got {delta}")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
+    nan_z = np.isnan(points[:, 2])
+    if nan_z.any():
+        # A NaN z sorts last but falls in strip q, which would shift every run.
+        raise DataError(f"point {int(np.argmax(nan_z))} has a NaN z coordinate")
     q = math.ceil(np.pi / delta)
     order = np.argsort(points[:, 2], kind="stable")
     sorted_pts = points[order]

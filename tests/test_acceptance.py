@@ -170,7 +170,7 @@ def test_criterion_5_exactness_suite():
     worst = 0.0
     for _ in range(200):
         x = normalize(rng.normal(size=3))
-        found = index.nearest_m(x, 10, n_formula=500)
+        found = index.nearest_m(x, 10)
         w = weights(x, model, found.ids, found.distances)
         worst = max(worst, abs(w.sum() - 1.0))
     ok_b = worst <= 1e-12
@@ -213,7 +213,7 @@ def test_criterion_6_search_oracle_equivalence():
     for m in (1, 5, 15, 100, 250, 500):
         for q in range(10):
             center = normalize(rng.normal(size=3))
-            found = index.nearest_m(center, m, n_formula=500)
+            found = index.nearest_m(center, m)
             d = geodesic_distance(pts, center)
             want = np.lexsort((np.arange(500), d))[:m]
             agree += np.array_equal(found.ids, want)
@@ -229,7 +229,7 @@ def test_criterion_7_local_solver_conditions():
     nodes = random_uniform_sphere(1000, 15).points
     values = datasets.test_function("f1", nodes)
     index = build_zones(nodes, compute_delta(1000, 15, 1))
-    ids = np.stack([index.nearest_m(nodes[j], 15, n_formula=1000).ids for j in range(200)])
+    ids = np.stack([index.nearest_m(nodes[j], 15).ids for j in range(200)])
     pts, vals = nodes[ids], values[ids]
     kernel = InverseMultiquadric(0.5)
     a, b, _ = solve_saddle_batch(kernel, 2, pts, vals)

@@ -26,6 +26,9 @@ def test_generate_random_deterministic(tmp_path):
 
 def test_generate_zero_points_is_usage_error(tmp_path):
     assert run(["generate", "random", "--n", 0, "--out", tmp_path / "x.csv"]) == 2
+    assert run(["generate", "geomagnetic-synth", "--n", 0, "--out", tmp_path / "x.csv"]) == 2
+    assert run(["generate", "spiral", "--n", 1, "--out", tmp_path / "x.csv"]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_generate_unwritable_path_is_io_error(tmp_path):
@@ -157,6 +160,17 @@ def test_benchmark_small_grid(tmp_path):
 def test_benchmark_rejects_zero_eval_points(tmp_path):
     assert run(["benchmark", "--function", "f1", "--n", "100", "--s", 0,
                 "--seeds", 1, "--out", tmp_path / "b"]) == 2
+
+
+def test_benchmark_takes_degrees_only(tmp_path, capsys):
+    grid = ["benchmark", "--n", "100", "--s", 40, "--seeds", 1, "--no-gamma-sweep",
+            "--out", tmp_path / "b"]
+    # benchmark has no --degree of its own: argparse reads it as --degrees.
+    assert run(grid + ["--degree", 1]) == 0
+    rows = (tmp_path / "b" / "benchmark.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["1"]
+    assert run(grid + ["--degrees="]) == 2
+    assert "--degrees must list at least one L" in capsys.readouterr().err
 
 
 def test_benchmark_file_mode(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sphshepard import (
+    ConfigError,
     DataError,
     load_csv,
     random_uniform_sphere,
@@ -48,7 +49,7 @@ def test_random_points_deterministic_per_seed():
 
 
 def test_random_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         random_uniform_sphere(0, 0)
 
 
@@ -68,7 +69,7 @@ def test_spiral_degenerate_two_points():
 
 
 def test_spiral_rejects_small_s():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         spiral_points(1)
 
 

@@ -27,12 +27,11 @@ def random_harmonic(degree, seed):
     return lambda p: sh_basis(p, degree) @ coeffs
 
 
-def fit_one(nodes, values, degree, node_index=None):
+def fit_one(nodes, values, degree):
     """Fit one neighborhood as a batch of one; nodes (m, 3), values (m,)."""
     nodes = np.asarray(nodes, dtype=float)
     a, b, path = localfit.solve_saddle_batch(
-        IMQ, degree, nodes[None], np.asarray(values, dtype=float)[None],
-        node_indices=None if node_index is None else [node_index],
+        IMQ, degree, nodes[None], np.asarray(values, dtype=float)[None]
     )
     return LocalInterpolant(nodes, a[0], b[0], IMQ, degree, solve_path=int(path[0]))
 
@@ -122,9 +121,9 @@ def test_inconsistent_duplicate_nodes_fail_with_context():
     values = np.zeros(10)
     values[0], values[1] = 0.0, 1.0  # same node, contradictory data
     with pytest.raises(SolveError) as err:
-        fit_one(nodes, values, -1, node_index=7)
-    assert err.value.node_index == 7
-    assert "7" in str(err.value)
+        fit_one(nodes, values, -1)
+    assert err.value.node_index == 0
+    assert "neighborhood of node 0" in str(err.value)
 
 
 def test_consistent_duplicate_nodes_use_fallback():
@@ -291,8 +290,8 @@ def test_strict_error_names_lowest_missing_neighborhood(monkeypatch, chunk):
     monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
     pts, vals = contradictory_batch()
     with pytest.raises(SolveError) as err:
-        localfit.solve_saddle_batch(IMQ, -1, pts, vals, node_indices=np.arange(100, 108))
-    assert err.value.node_index == 103
+        localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    assert err.value.node_index == 3
 
 
 def test_non_strict_marks_misses_and_warns_once(caplog):

@@ -176,7 +176,7 @@ def test_partition_of_unity():
     index = build_zones(nodes, compute_delta(200, 10, 1))
     for _ in range(100):
         x = normalize(rng.normal(size=3))
-        found = index.nearest_m(x, 10, n_formula=200)
+        found = index.nearest_m(x, 10)
         w = weights(x, model, found.ids, found.distances)
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sphshepard import SphericalCap, geodesic_distance, normalize
+from sphshepard import build_zones, geodesic_distance, normalize
+
+NORTH = np.array([0.0, 0.0, 1.0])
 
 
 def test_normalize_scales_axis_vector():
@@ -76,25 +78,22 @@ def test_geodesic_zero_iff_equal():
     assert np.all(geodesic_distance(u, shifted) > 0.0)
 
 
+def cap_ids(points, center, radius):
+    """Ids of `points` in the cap, from the zone index's cap query."""
+    return build_zones(points, 0.5).query_cap(center, radius).ids
+
+
 def test_cap_whole_sphere_contains_everything():
     rng = np.random.default_rng(6)
-    cap = SphericalCap(np.array([0.0, 0.0, 1.0]), np.pi)
     pts = normalize(rng.normal(size=(100, 3)))
-    assert np.all(cap.contains(pts))
+    assert np.all(geodesic_distance(NORTH, pts) <= np.pi)
+    assert sorted(cap_ids(pts, NORTH, np.pi).tolist()) == list(range(100))
 
 
 def test_cap_contains_center():
-    cap = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.1)
-    assert cap.contains(np.array([0.0, 0.0, 1.0]))
+    assert cap_ids(NORTH[None], NORTH, 0.1).tolist() == [0]
 
 
 def test_cap_excludes_distant_point():
-    cap = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.1)
-    assert not cap.contains(np.array([1.0, 0.0, 0.0]))
-
-
-def test_cap_radius_validated():
-    with pytest.raises(ValueError):
-        SphericalCap(np.array([0.0, 0.0, 1.0]), -0.5)
-    with pytest.raises(ValueError):
-        SphericalCap(np.array([0.0, 0.0, 1.0]), 4.0)
+    pts = np.array([[1.0, 0.0, 0.0], NORTH])
+    assert cap_ids(pts, NORTH, 0.1).tolist() == [1]

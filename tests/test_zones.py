@@ -67,7 +67,7 @@ def test_delta_rejects_nonpositive_inputs():
 def test_single_strip_when_delta_is_pi():
     ix = build_zones(AXIS_POINTS, np.pi)
     assert ix.zone_count == 1
-    assert set(ix.strip_member_ids(1).tolist()) == set(range(6))
+    assert set(ix.ids[ix.strip_slice(1)].tolist()) == set(range(6))
 
 
 def test_axis_points_strip_placement():
@@ -75,10 +75,10 @@ def test_axis_points_strip_placement():
     # into strip 3 under the half-open convention, pi -> final strip.
     ix = build_zones(AXIS_POINTS, np.pi / 4)
     assert ix.zone_count == 4
-    assert set(ix.strip_member_ids(1).tolist()) == {4}
-    assert set(ix.strip_member_ids(2).tolist()) == set()
-    assert set(ix.strip_member_ids(3).tolist()) == {0, 1, 2, 3}
-    assert set(ix.strip_member_ids(4).tolist()) == {5}
+    assert set(ix.ids[ix.strip_slice(1)].tolist()) == {4}
+    assert set(ix.ids[ix.strip_slice(2)].tolist()) == set()
+    assert set(ix.ids[ix.strip_slice(3)].tolist()) == {0, 1, 2, 3}
+    assert set(ix.ids[ix.strip_slice(4)].tolist()) == {5}
 
 
 def test_strip_count_formula():
@@ -98,7 +98,7 @@ def test_zone_invariants_random():
     want_strip = np.minimum((theta // delta).astype(int) + 1, ix.zone_count)
     seen = set()
     for k in range(1, ix.zone_count + 1):
-        members = ix.strip_member_ids(k)
+        members = ix.ids[ix.strip_slice(k)]
         assert set(members.tolist()) == set(np.nonzero(want_strip == k)[0].tolist())
         seen.update(members.tolist())
     assert seen == set(range(400))
@@ -165,7 +165,7 @@ def test_nearest_matches_brute_force():
     rng = np.random.default_rng(5)
     for _ in range(50):
         center = normalize(rng.normal(size=3))
-        found = ix.nearest_m(center, 15, n_formula=500)
+        found = ix.nearest_m(center, 15)
         assert np.array_equal(found.ids, brute_force_nearest(pts, center, 15))
 
 
@@ -188,6 +188,19 @@ def test_nearest_names_a_nan_center():
     centers = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]])
     with pytest.raises(DataError, match="center 2 has fewer than 5 points .* not finite"):
         ix.nearest_m(centers, 5)
+
+
+def test_nearest_names_a_center_with_nan_z():
+    ix = build_zones(rand_points(200, 32), compute_delta(200, 15, 1))
+    with pytest.raises(DataError, match="center 0 has fewer than 5 points"):
+        ix.nearest_m([0.0, 0.0, np.nan], 5)
+
+
+def test_build_rejects_a_nan_z_coordinate():
+    nodes = rand_points(50, 33)
+    nodes[4, 2] = np.nan
+    with pytest.raises(DataError, match="point 4 has a NaN z"):
+        build_zones(nodes, 0.5)
 
 
 def test_nearest_over_a_nan_point_raises_data_error():
@@ -215,11 +228,11 @@ def test_query_radius_validated():
 # ------------------------------------------------------------------ batched nearest
 
 
-def per_point_nearest(ix, center, m, n_formula):
+def per_point_nearest(ix, center, m):
     """The escalating search one center at a time, through query_cap: the oracle."""
     k = 1
     while True:
-        found = ix.query_cap(center, compute_delta(n_formula, m, k))
+        found = ix.query_cap(center, compute_delta(ix.points.shape[0], m, k))
         if len(found) >= m:
             return found.ids[:m], found.distances[:m]
         k += 1
@@ -245,13 +258,13 @@ def test_batched_nearest_equals_stacked_single_queries(monkeypatch, block):
     ix = build_zones(pts, compute_delta(500, 15, 1))
     centers = np.vstack([pts[:100], rand_points(100, 21)])
     for m in (1, 10, 15):
-        found = ix.nearest_m(centers, m, n_formula=500)
+        found = ix.nearest_m(centers, m)
         assert found.ids.shape == found.distances.shape == (200, m)
-        singles = [ix.nearest_m(c, m, n_formula=500) for c in centers]
+        singles = [ix.nearest_m(c, m) for c in centers]
         assert_same_neighbors(
             found, np.stack([s.ids for s in singles]), np.stack([s.distances for s in singles])
         )
-        loops = [per_point_nearest(ix, c, m, 500) for c in centers]
+        loops = [per_point_nearest(ix, c, m) for c in centers]
         assert_same_neighbors(found, np.stack([i for i, _ in loops]), np.stack([d for _, d in loops]))
 
 
@@ -275,7 +288,7 @@ def test_batched_nearest_at_poles_and_strip_boundaries():
     )
     assert centers[0].tolist() == [0.0, 0.0, 1.0] and centers[-1][2] == -1.0
     assert_same_neighbors(
-        ix.nearest_m(centers, 15, n_formula=500), *brute_force_nearest_batch(pts, centers, 15)
+        ix.nearest_m(centers, 15), *brute_force_nearest_batch(pts, centers, 15)
     )
 
 
@@ -301,7 +314,7 @@ def test_batched_nearest_matches_kd_tree_at_scale():
     nodes = rand_points(16000, 27)
     ix = build_zones(nodes, compute_delta(16000, 15, 1))
     for centers, m in ((nodes, 15), (rand_points(2000, 28), 10)):
-        found = ix.nearest_m(centers, m, n_formula=16000)
+        found = ix.nearest_m(centers, m)
         # Chord order is geodesic order, so the tree finds the same sets.
         _, want = spatial.cKDTree(nodes).query(centers, k=m)
         assert np.array_equal(np.sort(found.ids, axis=1), np.sort(want, axis=1))
