@@ -10,8 +10,9 @@ benchmark    run an accuracy grid over (function, n, L, seed), write a table
 
 Exit codes: 0 success, 2 usage error (ConfigError), 3 data error,
 4 numerical failure.  Parameter precedence: command-line flags > config
-file (key=value lines) > the defaults of ShepardConfig.  The parameter
-ranges are checked by ShepardConfig and InverseMultiquadric.
+file (key=value lines) > the defaults of ShepardConfig; a config key the
+command does not read is a usage error.  The parameter ranges are checked
+by ShepardConfig and InverseMultiquadric.
 """
 
 from __future__ import annotations
@@ -52,10 +53,19 @@ def _read_config(path) -> dict:
 
 
 def _resolve_params(args) -> dict:
-    """Merge flags over config-file values over the ShepardConfig defaults."""
+    """Merge flags over config-file values over the ShepardConfig defaults.
+
+    A command reads the config keys it has flags for; any other key in the
+    file raises ConfigError.
+    """
     config = _read_config(args.config) if getattr(args, "config", None) else {}
     base = shepard.ShepardConfig()
     defaults = {"gamma": base.kernel.gamma, "degree": base.degree, "nz": base.n_z, "nw": base.n_w}
+    defaults = {key: value for key, value in defaults.items() if hasattr(args, key)}
+    for key in config:
+        if key not in defaults:
+            hint = " (it takes L from --degrees)" if key == "degree" else ""
+            raise ConfigError(f"config key {key!r} is not read by {args.command}{hint}")
     params = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)

@@ -136,11 +136,29 @@ def _unit_points(points, what: str) -> np.ndarray:
     return pts
 
 
+def _reject_duplicates(nodes, neighbor_ids, centers) -> None:
+    """Raise DataError naming two nodes with exactly equal coordinates.
+
+    A node's copy lies at the same computed distance from it as the node
+    itself, so both are in the node's neighbor row; the coordinates are
+    compared, since a self distance need not read 0.
+    """
+    same = (
+        (centers[..., 0] == nodes[:, None, 0])
+        & (centers[..., 1] == nodes[:, None, 1])
+        & (centers[..., 2] == nodes[:, None, 2])
+    )
+    rows = np.flatnonzero(np.count_nonzero(same, axis=1) > 1)
+    if rows.size:
+        i, j = np.sort(neighbor_ids[rows[0]][same[rows[0]]])[:2]
+        raise DataError(f"nodes {i} and {j} have equal coordinates")
+
+
 def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     """Fit one local interpolant per node on its n_z nearest nodes.
 
-    nodes: finite unit vectors (3,) or (n, 3); values: n finite numbers.
-    Other input raises DataError.
+    nodes: finite, distinct unit vectors (3,) or (n, 3); values: n finite
+    numbers.  Other input raises DataError.
     """
     nodes = _unit_points(nodes, "node")
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -155,10 +173,12 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
 
     index = build_zones(nodes, compute_delta(n, config.n_z, 1))
     neighbor_ids = index.nearest_m(nodes, config.n_z).ids
+    centers = np.take(nodes, neighbor_ids, axis=0)
+    _reject_duplicates(nodes, neighbor_ids, centers)
     a, b, path = solve_saddle_batch(
         config.kernel,
         config.degree,
-        nodes[neighbor_ids],
+        centers,
         values[neighbor_ids],
         rtol=config.rtol,
         strict=config.strict,
@@ -217,7 +237,7 @@ def evaluate(model: ShepardModel, eval_points) -> np.ndarray:
         local = eval_local(
             model.config.kernel,
             model.config.degree,
-            model.nodes[model.neighbor_ids[ids]],
+            np.take(model.nodes, model.neighbor_ids[ids], axis=0),
             model.coeff_a[ids],
             model.coeff_b[ids],
             x[:, None, :],

@@ -141,6 +141,31 @@ def test_config_file_rejects_unparsable_value(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    nodes = tmp_path / "n.csv"
+    run(["generate", "random", "--n", 60, "--seed", 3, "--function", "f1", "--out", nodes])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nz = 12\ngamm = 0.99\n")  # a typo of gamma
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes,
+                "--out", tmp_path / "o.csv", "--config", cfg]) == 2
+    assert "config key 'gamm' is not read by interpolate" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_benchmark_config_rejects_degree(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("degree = 7\n")
+    assert run(["benchmark", "--n", "100", "--s", 40, "--seeds", 1, "--no-gamma-sweep",
+                "--out", tmp_path / "b", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'degree' is not read by benchmark" in err and "--degrees" in err
+    cfg.write_text("nz = 12\nnw = 8\n")
+    assert run(["benchmark", "--n", "100", "--s", 40, "--seeds", 1, "--no-gamma-sweep",
+                "--out", tmp_path / "b", "--config", cfg]) == 0
+    rows = (tmp_path / "b" / "benchmark.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[5:7] for r in rows] == [["12", "8"]] * 4
+
+
 def test_benchmark_small_grid(tmp_path):
     out = tmp_path / "bench"
     assert run(["benchmark", "--function", "f1", "--n", "120", "--s", 50,

@@ -75,6 +75,29 @@ def test_length_mismatch_rejected():
         fit(rand_points(50, 0), np.zeros(49), ShepardConfig())
 
 
+def test_fit_names_a_duplicate_node():
+    nodes = rand_points(1000, 40)
+    nodes[6] = nodes[5]
+    values = np.exp(nodes[:, 2])
+    with pytest.raises(DataError, match="nodes 5 and 6 have equal coordinates"):
+        fit(nodes, values, ShepardConfig(degree=2))
+    values[6] = values[5] + 1.0  # conflicting data: also a DataError, not a SolveError
+    with pytest.raises(DataError, match="nodes 5 and 6"):
+        fit(nodes, values, ShepardConfig(degree=2))
+
+
+def test_fit_names_a_duplicate_that_precedes_its_node():
+    nodes = rand_points(1000, 41)
+    nodes[40] = nodes[987]
+    # In node 987's row the copy comes first (equal distance, lower id), and
+    # the self distance reads 2.1e-8, not 0: only the coordinates can tell.
+    row = shepard.build_zones(nodes, np.pi / 8).nearest_m(nodes[987], 15)
+    assert row.ids[:2].tolist() == [40, 987]
+    assert row.distances[0] == row.distances[1] > 0.0
+    with pytest.raises(DataError, match="nodes 40 and 987 have equal coordinates"):
+        fit(nodes, np.zeros(1000), ShepardConfig())
+
+
 def off_sphere(points):
     """Copies of `points` whose row 5 is scaled by 3, by 1 + 1e-10 and by
     1e200 (its squared length overflows), or zeroed."""

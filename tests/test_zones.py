@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphshepard import DataError, build_zones, compute_delta, geodesic_distance, normalize, zones
 
@@ -90,7 +93,6 @@ def test_zone_invariants_random():
     pts = rand_points(400, 1)
     delta = 0.37
     ix = build_zones(pts, delta)
-    assert np.all(np.diff(ix.points[:, 2]) >= 0.0)  # sorted ascending by z
     assert np.all(np.diff(ix.zone_offsets) >= 0)
     assert ix.zone_offsets[0] == 0 and ix.zone_offsets[-1] == 400
     # strip contents against the colatitude definition
@@ -100,6 +102,9 @@ def test_zone_invariants_random():
     for k in range(1, ix.zone_count + 1):
         members = ix.ids[ix.strip_slice(k)]
         assert set(members.tolist()) == set(np.nonzero(want_strip == k)[0].tolist())
+        # each strip run sorted by longitude
+        run = ix.points[members]
+        assert np.all(np.diff(np.arctan2(run[:, 1], run[:, 0])) >= 0.0)
         seen.update(members.tolist())
     assert seen == set(range(400))
 
@@ -246,14 +251,22 @@ def brute_force_nearest_batch(points, centers, m):
     return order, np.take_along_axis(d, order, axis=1)
 
 
+def brute_force_cap_sorted(points, center, radius):
+    """(ids, distances) of the points within radius, by a full (distance, id) sort."""
+    d = geodesic_distance(points, center)
+    ids = np.flatnonzero(d <= radius)
+    ids = ids[np.lexsort((ids, d[ids]))]
+    return ids, d[ids]
+
+
 def assert_same_neighbors(found, ids, dists):
     assert np.array_equal(found.ids, ids)
     assert np.array_equal(found.distances, dists)
 
 
-@pytest.mark.parametrize("block", [zones.SEARCH_BLOCK, 7])
-def test_batched_nearest_equals_stacked_single_queries(monkeypatch, block):
-    monkeypatch.setattr(zones, "SEARCH_BLOCK", block)
+@pytest.mark.parametrize("chunk", [zones.SEARCH_CHUNK, 7])
+def test_batched_nearest_equals_stacked_single_queries(monkeypatch, chunk):
+    monkeypatch.setattr(zones, "SEARCH_CHUNK", chunk)
     pts = rand_points(500, 20)
     ix = build_zones(pts, compute_delta(500, 15, 1))
     centers = np.vstack([pts[:100], rand_points(100, 21)])
@@ -319,3 +332,95 @@ def test_batched_nearest_matches_kd_tree_at_scale():
         _, want = spatial.cKDTree(nodes).query(centers, k=m)
         assert np.array_equal(np.sort(found.ids, axis=1), np.sort(want, axis=1))
         assert np.array_equal(found.distances, geodesic_distance(nodes[found.ids], centers[:, None]))
+
+
+
+def on_sphere(theta, lam):
+    """Unit vectors at colatitude theta and longitude lam."""
+    theta, lam = np.asarray(theta, dtype=float), np.asarray(lam, dtype=float)
+    st, ct = np.sin(theta), np.cos(theta)
+    return np.stack(np.broadcast_arrays(st * np.cos(lam), st * np.sin(lam), ct), axis=-1)
+
+
+def test_points_on_the_longitude_bound_are_found():
+    # A cap of radius r around colatitude theta reaches longitude offsets up
+    # to asin(sin r / sin theta), at its two tangent points; put points just
+    # inside the cap there, also where the window wraps past the seam.
+    r = 0.2
+    rho = r * (1.0 - 1e-9)
+    pts = rand_points(200, 34)
+    for theta in (0.25, 0.9, np.pi / 2, 2.5, np.pi - 0.21):
+        theta_t = np.arccos(np.cos(theta) / np.cos(rho))
+        dlam = np.arcsin(np.sin(rho) / np.sin(theta)) * np.array([1.0, -1.0])
+        for lam in (0.0, 0.3, np.pi - 0.05, np.pi, -np.pi + 0.01, -2.0):
+            center = on_sphere(theta, lam)
+            tangent = on_sphere(theta_t, lam + dlam)
+            assert np.all(geodesic_distance(tangent, center) <= r)
+            both = np.vstack([tangent, pts])
+            found = build_zones(both, compute_delta(200, 15, 1)).query_cap(center, r)
+            assert {0, 1} <= set(found.ids.tolist())
+            assert_same_neighbors(found, *brute_force_cap_sorted(both, center, r))
+
+
+# ------------------------------------------------------------------ properties
+
+
+@st.composite
+def search_cases(draw):
+    """A point set with its strip width, centers and m.
+
+    Besides random points the set holds points exactly on strip boundaries,
+    the poles, points on the seam with y = +0 and y = -0 (x < 0, where
+    arctan2 gives +pi and -pi), points sharing a longitude, and exact copies.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = draw(st.sampled_from([0.09, 0.2, 0.37, np.pi / 4, 1.0, np.pi]))
+    q = math.ceil(np.pi / delta)
+    parts = [rand_points(draw(st.integers(0, 60)), int(rng.integers(1 << 30)))]
+    k = np.array(draw(st.lists(st.integers(0, q), max_size=8)), dtype=float)
+    parts.append(on_sphere(np.minimum(k * delta, np.pi), rng.uniform(-np.pi, np.pi, k.size)))
+    if draw(st.booleans()):
+        parts.append(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    for sign_y in draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=4)):
+        t = rng.uniform(0.0, np.pi)
+        parts.append(np.array([[-np.sin(t), sign_y, np.cos(t)]]))
+    lams = draw(st.lists(st.sampled_from([0.0, 1.0, np.pi / 2, np.pi, -np.pi, -2.0]), max_size=3))
+    for lam in lams:
+        parts.append(on_sphere(rng.uniform(0.0, np.pi, 4), np.full(4, lam)))
+    pts = np.vstack(parts)
+    if pts.shape[0] and draw(st.booleans()):
+        pts = np.vstack([pts, pts[rng.integers(pts.shape[0], size=3)]])
+    if pts.shape[0] == 0:
+        pts = np.array([[-1.0, 0.0, 0.0]])
+    n = pts.shape[0]
+    centers = np.vstack([
+        rand_points(draw(st.integers(0, 10)), int(rng.integers(1 << 30))),
+        pts[rng.integers(n, size=draw(st.integers(0, 10)))],
+        on_sphere(rng.uniform(0.0, np.pi, 4), [np.pi, -np.pi, np.pi - 1e-9, 0.0]),
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]],
+    ])
+    m = draw(st.integers(1, min(n, 12)))
+    chunk = draw(st.sampled_from([zones.SEARCH_CHUNK, 3]))
+    return pts, delta, centers, m, chunk
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(search_cases())
+def test_batched_nearest_equals_brute_force_and_single_queries(case):
+    pts, delta, centers, m, chunk = case
+    ix = build_zones(pts, delta)
+    with mock.patch.object(zones, "SEARCH_CHUNK", chunk):
+        found = ix.nearest_m(centers, m)
+    assert_same_neighbors(found, *brute_force_nearest_batch(pts, centers, m))
+    for c, ids, dists in zip(centers[::5], found.ids[::5], found.distances[::5]):
+        single = ix.nearest_m(c, m)
+        assert np.array_equal(single.ids, ids) and np.array_equal(single.distances, dists)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(search_cases(), st.floats(1e-3, np.pi))
+def test_query_cap_equals_brute_force(case, radius):
+    pts, delta, centers, _, _ = case
+    ix = build_zones(pts, delta)
+    for c in centers[::3]:
+        assert_same_neighbors(ix.query_cap(c, radius), *brute_force_cap_sorted(pts, c, radius))
