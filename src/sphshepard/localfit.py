@@ -19,12 +19,13 @@ chunk's neighborhoods that miss the check climb a retry ladder; each rung
 takes the rows the one before left failing and keeps its answer only where
 it lowers the full residual:
 
-    refined   keep-best iterative refinement of the LU solution;
+    refined   keep-best iterative refinement of the LU solution; each step
+              runs only on the rows the step before improved;
     extended  LU with partial pivoting in extended precision, vectorized
               over the chunk (it adds nothing where np.longdouble is plain
               double, as on platforms without 80-bit or 128-bit floats);
-    lstsq     a least-squares solve per neighborhood, which also covers
-              genuinely singular systems.
+    lstsq     minimum-norm least squares (LAPACK gelsd), one batched call
+              per chunk, which also covers genuinely singular systems.
 
 Every neighborhood carries the code of the rung that met the tolerance
 (`lu` when the first solve did), or `missed` when none did.  A miss raises
@@ -129,18 +130,24 @@ def _refine_keep_best(M, rhs, sol):
 
     Near-singular systems can make plain refinement oscillate or diverge;
     corrections are applied per row only where they shrink the residual.
+    A row that did not improve would repeat the same step, so each step
+    runs only on the rows the step before improved.
     """
-    best = sol
-    best_norm = np.linalg.norm(rhs - np.einsum("nij,nj->ni", M, best), axis=1)
+    best = sol.copy()
+    resid = rhs - np.einsum("nij,nj->ni", M, best)
+    best_norm = np.linalg.norm(resid, axis=1)
+    rows = np.arange(len(M))
     for _ in range(_REFINE_STEPS):
-        resid = rhs - np.einsum("nij,nj->ni", M, best)
-        cand = best + np.linalg.solve(M, resid[..., None])[..., 0]
-        cand_norm = np.linalg.norm(rhs - np.einsum("nij,nj->ni", M, cand), axis=1)
-        better = cand_norm < best_norm
-        if not np.any(better):
+        Mr = M[rows]
+        cand = best[rows] + np.linalg.solve(Mr, resid[..., None])[..., 0]
+        resid = rhs[rows] - np.einsum("nij,nj->ni", Mr, cand)
+        cand_norm = np.linalg.norm(resid, axis=1)
+        better = cand_norm < best_norm[rows]
+        rows, resid = rows[better], resid[better]
+        if not rows.size:
             break
-        best = np.where(better[:, None], cand, best)
-        best_norm = np.where(better, cand_norm, best_norm)
+        best[rows] = cand[better]
+        best_norm[rows] = cand_norm[better]
     return best
 
 
@@ -174,12 +181,30 @@ def _lu_solve_extended(M, rhs):
             mult = a[:, c + 1 :, c] / a[:, c, c, None]
             a[:, c + 1 :, c + 1 :] -= mult[:, :, None] * a[:, c, None, c + 1 :]
             x[:, c + 1 :] -= mult * x[:, c, None]
-    for c in range(n - 1, -1, -1):
-        dot = np.zeros(k, dtype=np.longdouble)
-        for j in range(c + 1, n):
-            dot += a[:, c, j] * x[:, j]
+    # cumsum adds left to right, as the per-system dot product does.
+    x[:, -1] /= a[:, -1, -1]
+    for c in range(n - 2, -1, -1):
+        dot = np.cumsum(a[:, c, c + 1 :] * x[:, c + 1 :], axis=1)[:, -1]
         x[:, c] = (x[:, c] - dot) / a[:, c, c]
     return x.astype(float), solved
+
+
+# np.linalg.lstsq takes one matrix per call, and numpy has no public batched
+# least-squares solver, so the lstsq rung calls the private gufunc behind it.
+_lstsq = np.linalg._umath_linalg.lstsq
+
+
+def _lstsq_solve(M, rhs):
+    """np.linalg.lstsq(M[i], rhs[i], rcond=None)[0] for every system i at once.
+
+    LAPACK gelsd runs on each system, with lstsq's default cutoff on the
+    singular values, eps times the larger matrix dimension.  A system whose
+    SVD does not converge comes back NaN (np.linalg.lstsq would raise
+    LinAlgError), so it loses every residual comparison and ends `missed`.
+    """
+    with np.errstate(all="ignore"):
+        x = _lstsq(M, rhs[..., None], np.finfo(float).eps * M.shape[-1], signature="ddd->ddid")[0]
+    return x[..., 0]
 
 
 def _climb_ladder(M, rhs, A, Y, vals, sol, singular, rtol):
@@ -207,7 +232,7 @@ def _climb_ladder(M, rhs, A, Y, vals, sol, singular, rtol):
     todo, best_norm = todo[still], best_norm[still]
     path[todo] = PATH_LSTSQ
     if todo.size:
-        lsq = np.stack([np.linalg.lstsq(M[i], rhs[i], rcond=None)[0] for i in todo])
+        lsq = _lstsq_solve(M[todo], rhs[todo])
         take = _residual_norms(M[todo], rhs[todo], lsq) < best_norm
         sol[todo[take]] = lsq[take]
         path[todo[~ok(todo)]] = PATH_MISSED

@@ -188,18 +188,29 @@ class ZoneIndex:
         row, cand, d = self._within(centers[pending], radius)
         counts = np.bincount(row, minlength=pending.size)
         full = counts >= m
-        if full.any():
+        n_full = np.count_nonzero(full)  # cheaper than any() on a single center
+        if n_full:
             # One padded row of candidates per center, sorted by (distance, id).
             pos = np.arange(row.size) - (counts.cumsum() - counts)[row]
             cand_d = np.full((pending.size, counts.max()), np.inf)
             cand_id = np.zeros(cand_d.shape, dtype=self.ids.dtype)
             cand_d[row, pos] = d
             cand_id[row, pos] = cand
-            cand_d, cand_id = cand_d[full], cand_id[full]
-            order = np.lexsort((cand_id, cand_d), axis=-1)[:, :m]
+            if n_full < pending.size:
+                cand_d, cand_id = cand_d[full], cand_id[full]
+            order = np.argsort(cand_d, axis=-1)[:, : m + 1]
             rows = np.arange(order.shape[0])[:, None]
-            ids[pending[full]] = cand_id[rows, order]
-            dists[pending[full]] = cand_d[rows, order]
+            # Equal distances decide the m nearest, or their order, only
+            # where two of the first m+1 sorted distances are equal; those
+            # rows alone are sorted again by (distance, id).
+            near = cand_d[rows, order]  # the same values whatever breaks the ties
+            tie = near[:, 1:] == near[:, :-1]
+            if np.count_nonzero(tie):
+                tie = tie.any(axis=1)
+                order[tie] = np.lexsort((cand_id[tie], cand_d[tie]), axis=-1)[:, : m + 1]
+            done = pending[full]
+            ids[done] = cand_id[rows, order[:, :m]]
+            dists[done] = near[:, :m]
         return pending[~full]
 
     def _within(self, x, radius):

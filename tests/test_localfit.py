@@ -192,12 +192,30 @@ def test_extended_rung_flags_singular_row_only():
     assert np.array_equal(got[others], alone)
 
 
-@pytest.mark.parametrize("chunk", [256, 3])
-def test_lu_solve_flags_singular_row_and_keeps_the_others(monkeypatch, chunk):
+def duplicate_node_batch():
+    """Twenty neighborhoods; row 5 holds one node twice with one value, a
+    consistent duplicate, so its system is exactly singular."""
     pts, vals = neighborhoods(1000, 33)
     pts, vals = pts[:20].copy(), vals[:20].copy()
-    # A consistent duplicate node: an exactly singular system.
     pts[5, 1], vals[5, 1] = pts[5, 0], vals[5, 0]
+    return pts, vals
+
+
+def equatorial_batch():
+    """Twenty neighborhoods; row 9 holds fifteen nodes on the equator, where
+    the z harmonic column is exactly 0, so its L=1 system is exactly
+    singular whatever the data."""
+    pts, vals = neighborhoods(1000, 34)
+    pts, vals = pts[:20].copy(), vals[:20].copy()
+    lon = np.linspace(0.0, 2.0 * np.pi, 15, endpoint=False)
+    pts[9] = np.stack([np.cos(lon), np.sin(lon), np.zeros(15)], axis=1)
+    vals[9] = np.exp(np.cos(lon)) + np.sin(2.0 * lon)
+    return pts, vals
+
+
+@pytest.mark.parametrize("chunk", [256, 3])
+def test_lu_solve_flags_singular_row_and_keeps_the_others(monkeypatch, chunk):
+    pts, vals = duplicate_node_batch()
     _, _, M, rhs = localfit._saddle_systems(IMQ, -1, pts, vals)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(M, rhs[..., None])
@@ -218,13 +236,7 @@ def test_lu_solve_flags_singular_row_and_keeps_the_others(monkeypatch, chunk):
 
 
 def test_equatorial_l1_neighborhood_takes_lstsq_and_spares_its_chunk():
-    pts, vals = neighborhoods(1000, 34)
-    pts, vals = pts[:20].copy(), vals[:20].copy()
-    # Fifteen nodes on the equator: the z harmonic column is exactly 0, so
-    # this L=1 system is exactly singular whatever the data.
-    lon = np.linspace(0.0, 2.0 * np.pi, 15, endpoint=False)
-    pts[9] = np.stack([np.cos(lon), np.sin(lon), np.zeros(15)], axis=1)
-    vals[9] = np.exp(np.cos(lon)) + np.sin(2.0 * lon)
+    pts, vals = equatorial_batch()
     _, _, M, rhs = localfit._saddle_systems(IMQ, 1, pts, vals)
     assert not M[9, :, 15 + 2].any()
     with pytest.raises(np.linalg.LinAlgError):
@@ -273,6 +285,100 @@ def test_rows_passing_first_check_keep_plain_lu_solution(degree):
     assert np.bincount(path, minlength=5).all()
     assert np.array_equal(path == localfit.PATH_LU, first_ok)
     assert np.array_equal(np.hstack([a, b])[first_ok], plain[first_ok])
+
+
+def _refine_keep_best_all_rows(M, rhs, sol):
+    """Keep-best refinement that steps every row at every step: the oracle."""
+    best = sol
+    best_norm = np.linalg.norm(rhs - np.einsum("nij,nj->ni", M, best), axis=1)
+    for _ in range(localfit._REFINE_STEPS):
+        resid = rhs - np.einsum("nij,nj->ni", M, best)
+        cand = best + np.linalg.solve(M, resid[..., None])[..., 0]
+        cand_norm = np.linalg.norm(rhs - np.einsum("nij,nj->ni", M, cand), axis=1)
+        better = cand_norm < best_norm
+        if not np.any(better):
+            break
+        best = np.where(better[:, None], cand, best)
+        best_norm = np.where(better, cand_norm, best_norm)
+    return best
+
+
+@pytest.mark.parametrize("degree", [-1, 2])
+def test_refinement_equals_all_rows_oracle(degree):
+    pts, vals = neighborhoods(1000, 0)
+    _, _, path = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
+    _, _, M, rhs = localfit._saddle_systems(FLAT, degree, pts, vals)
+    # Every row that escalated, and the rows among them that reach every rung.
+    for rows in (path != localfit.PATH_LU, path >= localfit.PATH_LSTSQ):
+        assert np.count_nonzero(rows) > 20
+        sol = np.linalg.solve(M[rows], rhs[rows][..., None])[..., 0]
+        got = localfit._refine_keep_best(M[rows], rhs[rows], sol)
+        assert got.tobytes() == _refine_keep_best_all_rows(M[rows], rhs[rows], sol).tobytes()
+
+
+def flat_batch():
+    pts, vals = neighborhoods(1000, 0)
+    return pts[:200], vals[:200]
+
+
+@pytest.mark.parametrize(
+    "kernel, degree, batch",
+    [(FLAT, -1, flat_batch), (FLAT, 2, flat_batch), (IMQ, -1, duplicate_node_batch),
+     (IMQ, 1, equatorial_batch)],
+    ids=["flat-L-1", "flat-L2", "duplicate-node", "equatorial-L1"],
+)
+def test_batched_lstsq_equals_numpy_lstsq_per_system(kernel, degree, batch):
+    # The lstsq rung calls numpy's private gufunc; a numpy that changes it
+    # fails here.
+    _, _, M, rhs = localfit._saddle_systems(kernel, degree, *batch())
+    got = localfit._lstsq_solve(M, rhs)
+    want = np.stack([np.linalg.lstsq(Mi, ri, rcond=None)[0] for Mi, ri in zip(M, rhs)])
+    assert got.tobytes() == want.tobytes()
+
+
+def nan_lstsq_row(monkeypatch, row):
+    """Make the lstsq rung fail for batch row `row` of each call, as a gelsd
+    that does not converge does: a NaN solution and the invalid flag raised."""
+    lstsq = localfit._lstsq
+
+    def spoiled(*args, **kwargs):
+        out = lstsq(*args, **kwargs)
+        out[0][row] = np.divide(0.0, 0.0)
+        return out
+
+    monkeypatch.setattr(localfit, "_lstsq", spoiled)
+
+
+def two_duplicate_node_batch():
+    """duplicate_node_batch with a second consistent duplicate, in row 12."""
+    pts, vals = duplicate_node_batch()
+    pts[12, 3], vals[12, 3] = pts[12, 2], vals[12, 2]
+    return pts, vals
+
+
+def test_failed_lstsq_row_raises_solve_error(monkeypatch):
+    # Rows 5 and 12 alone reach the lstsq rung, in one call, which rescues both.
+    pts, vals = two_duplicate_node_batch()
+    path = localfit.solve_saddle_batch(IMQ, -1, pts, vals)[2]
+    assert np.nonzero(path)[0].tolist() == [5, 12]
+    assert (path[[5, 12]] == localfit.PATH_LSTSQ).all()
+    nan_lstsq_row(monkeypatch, 1)
+    with pytest.raises(SolveError) as err:
+        localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    assert err.value.node_index == 12
+
+
+def test_failed_lstsq_row_is_missed_when_not_strict(monkeypatch, caplog):
+    pts, vals = two_duplicate_node_batch()
+    want = localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    nan_lstsq_row(monkeypatch, 1)
+    with caplog.at_level(logging.WARNING, logger="sphshepard.localfit"):
+        a, b, path = localfit.solve_saddle_batch(IMQ, -1, pts, vals, strict=False)
+    assert path[5] == localfit.PATH_LSTSQ and path[12] == localfit.PATH_MISSED
+    assert np.isfinite(a).all()
+    keep = np.arange(20) != 12
+    assert np.array_equal(a[keep], want[0][keep])
+    assert [r.getMessage().split(" neighborhoods")[0] for r in caplog.records] == ["1 of 20"]
 
 
 def contradictory_batch():

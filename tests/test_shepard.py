@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphshepard import (
     ConfigError,
@@ -334,3 +336,49 @@ def test_evaluate_is_deterministic():
     model, nodes, _ = make_model(n=150, seed=19)
     pts = spiral_points(50).points
     assert np.array_equal(evaluate(model, pts), evaluate(model, pts))
+
+
+# ------------------------------------------------------------------ properties
+
+
+@st.composite
+def fitted_models(draw):
+    """A model fitted to random smooth data, with its nodes, values and a
+    generator for evaluation points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degree = draw(st.integers(-1, 2))
+    n_z = draw(st.integers(max(sh_dim(degree), 3), 20))
+    n = draw(st.integers(n_z, 300))
+    config = ShepardConfig(
+        n_z=n_z,
+        n_w=draw(st.integers(1, 12)),
+        kernel=InverseMultiquadric(draw(st.sampled_from([0.2, 0.5, 0.8]))),
+        degree=degree,
+    )
+    nodes = rand_points(n, int(rng.integers(1 << 30)))
+    c = rng.normal(size=4)
+    values = c[0] + np.exp(c[1] * nodes[:, 0]) + c[2] * nodes[:, 1] * nodes[:, 2] + np.sin(c[3] * nodes[:, 2])
+    return fit(nodes, values, config), nodes, values, rng
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(fitted_models())
+def test_weights_are_a_partition_of_unity(case):
+    model, nodes, _, rng = case
+    x = np.vstack([rand_points(int(rng.integers(1, 40)), int(rng.integers(1 << 30))), nodes[:5]])
+    k = min(model.config.n_w, nodes.shape[0])
+    found = model.index.nearest_m(x, k)
+    w = weights(x, model, found.ids, found.distances)
+    assert w.shape == (x.shape[0], k)
+    assert np.all(w >= 0.0)
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= k * np.finfo(float).eps)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(fitted_models())
+def test_evaluate_interpolates_at_the_nodes(case):
+    # At node j the blend is local fit j alone, which meets the residual
+    # tolerance rtol * ||f|| over its neighborhood.
+    model, nodes, values, _ = case
+    scale = np.linalg.norm(values[model.neighbor_ids], axis=1)
+    assert np.all(np.abs(evaluate(model, nodes) - values) <= model.config.rtol * scale)

@@ -290,6 +290,36 @@ def test_batched_nearest_matches_brute_force_with_ties():
     assert ix.nearest_m(centers[4], 5).ids.tolist() == [4, 0, 1, 2, 3]
 
 
+def test_equidistant_points_across_the_mth_place_take_the_id_order(monkeypatch):
+    # Eight points on one circle of latitude are exactly equidistant from the
+    # north pole (its dot product with each is z), and two nearer points put
+    # that tie across the 5th place.  Ids run against longitude, which is
+    # the candidates' window order, so a sort by distance alone would not
+    # give the (distance, id) order.
+    lon = np.random.default_rng(40).permutation(8) * (np.pi / 4)
+    ring = np.stack([0.6 * np.cos(lon), 0.6 * np.sin(lon), np.full(8, 0.8)], axis=1)
+    near = normalize(np.array([[0.1, 0.0, 1.0], [0.0, -0.2, 1.0]]))
+    far = rand_points(300, 41)
+    pts = np.vstack([far[far[:, 2] < 0.5], ring, near])
+    centers = np.vstack([rand_points(40, 42), [[0.0, 0.0, 1.0]], rand_points(40, 43)])
+    ix = build_zones(pts, compute_delta(pts.shape[0], 5, 1))
+    want = brute_force_nearest_batch(pts, centers, 5)
+    assert np.diff(want[1][40]).tolist().count(0.0) == 2  # places 3..5 tie
+
+    sorted_rows = []
+    lexsort = np.lexsort
+
+    def spy(keys, axis=-1):
+        sorted_rows.append(np.shape(keys[0])[0])
+        return lexsort(keys, axis=axis)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    found = ix.nearest_m(centers, 5)
+    monkeypatch.undo()
+    assert sorted_rows == [1]  # the (distance, id) sort ran on the pole's row alone
+    assert_same_neighbors(found, *want)
+
+
 def test_batched_nearest_at_poles_and_strip_boundaries():
     pts = rand_points(500, 22)
     delta = compute_delta(500, 15, 1)
