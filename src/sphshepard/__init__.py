@@ -13,7 +13,7 @@ from .datasets import (
 from .errors import ConfigError, DataError, SolveError
 from .harmonics import sh_basis, sh_dim
 from .kernels import InverseMultiquadric
-from .localfit import LocalInterpolant, eval_local
+from .localfit import eval_local
 from .metrics import ErrorReport, error_report, rrmse
 from .shepard import ShepardConfig, ShepardModel, evaluate, fit, weights
 from .sphere import geodesic_distance, normalize
@@ -26,7 +26,6 @@ __all__ = [
     "DataError",
     "ErrorReport",
     "InverseMultiquadric",
-    "LocalInterpolant",
     "NeighborSet",
     "PointSet",
     "ShepardConfig",

@@ -184,11 +184,12 @@ def cmd_benchmark(args) -> int:
     bench_rows = []
     if args.nodes is not None:
         # Cross-validation on a node file: hold out `--holdout` points per seed.
-        if args.holdout < 1:
-            raise ConfigError("file benchmarks need --holdout >= 1")
         data = datasets.load_csv(args.nodes, geo=args.geo)
         if data.values is None:
             raise DataError(f"node file {args.nodes} carries no data values")
+        if not 1 <= args.holdout < len(data):
+            raise ConfigError(f"file benchmarks need 1 <= --holdout < {len(data)} "
+                              f"(the rows of {args.nodes}), got {args.holdout}")
         label = Path(args.nodes).stem
         ns = [len(data) - args.holdout]
         functions = [label]

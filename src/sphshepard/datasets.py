@@ -87,6 +87,8 @@ def synthetic_geomagnetic(n: int, seed: int, noise: float = 0.0) -> PointSet:
     cross-validation workflow; no fidelity to any particular survey is
     claimed.
     """
+    if not 0.0 <= noise < np.inf:
+        raise ConfigError(f"noise sigma must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     pts = random_uniform_sphere(n, seed).points
     z = pts[:, 2]

@@ -40,8 +40,6 @@ def sh_basis(p, degree: int) -> np.ndarray:
 
     p has shape (3,) or (..., 3); the result has shape (..., (L+1)^2).
     """
-    if degree < -1:
-        raise ValueError(f"degree must be >= -1, got {degree}")
     if degree > MAX_DEGREE:
         raise ValueError(
             f"closed forms are available up to degree {MAX_DEGREE}, got {degree}"

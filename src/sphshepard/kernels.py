@@ -1,9 +1,7 @@
 """Zonal basis (kernel) functions of geodesic distance on the sphere.
 
 A zonal kernel depends on two sphere points only through their geodesic
-distance t = arccos(u . v), so every kernel here exposes both ``at_cos``
-(from the dot product c = cos t, the cheap path) and ``__call__`` (from t).
-The two paths are the same arithmetic and agree to the last bit.
+distance t = arccos(u . v); ``at_cos`` evaluates it from c = cos t = u . v.
 
 The inverse multiquadric
 
@@ -37,7 +35,4 @@ class InverseMultiquadric:
     def at_cos(self, c) -> np.ndarray:
         g = self.gamma
         return (1.0 + g * g - 2.0 * g * np.asarray(c, dtype=float)) ** -0.5
-
-    def __call__(self, t) -> np.ndarray:
-        return self.at_cos(np.cos(t))
 

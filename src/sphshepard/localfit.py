@@ -37,7 +37,6 @@ warning per call.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,8 @@ from .errors import SolveError
 
 log = logging.getLogger(__name__)
 
-DEFAULT_RTOL = 1e-8
+# Relative tolerance of every neighborhood's residual check (_residuals_ok).
+RTOL = 1e-8
 
 # Moment residuals are measured against ||a||; data that is exactly a
 # harmonic drives the true a to zero, leaving only solver noise, so a small
@@ -64,22 +64,6 @@ SOLVE_CHUNK = 256
 # Solve-path codes, in ladder order.
 PATH_LU, PATH_REFINED, PATH_EXTENDED, PATH_LSTSQ, PATH_MISSED = range(5)
 PATH_NAMES = ("lu", "refined", "extended", "lstsq", "missed")
-
-
-@dataclass(frozen=True)
-class LocalInterpolant:
-    """Fitted coefficients of one augmented local interpolant."""
-
-    centers: np.ndarray   # (m, 3) neighborhood nodes, nearest first
-    a: np.ndarray         # (m,) kernel coefficients
-    b: np.ndarray         # ((L+1)^2,) harmonic coefficients
-    kernel: object
-    degree: int
-    solve_path: int = PATH_LU
-
-    def __call__(self, x) -> np.ndarray:
-        """Evaluate Z at x (shape (3,) or (..., 3))."""
-        return eval_local(self.kernel, self.degree, self.centers, self.a, self.b, x)
 
 
 def eval_local(kernel, degree: int, centers, a, b, x) -> np.ndarray:
@@ -207,12 +191,12 @@ def _lstsq_solve(M, rhs):
     return x[..., 0]
 
 
-def _climb_ladder(M, rhs, A, Y, vals, sol, singular, rtol):
-    """Escalate rows that missed `rtol` after the first LU; returns (sol, path)."""
+def _climb_ladder(M, rhs, A, Y, vals, sol, singular):
+    """Escalate rows that missed RTOL after the first LU; returns (sol, path)."""
     m = A.shape[1]
 
     def ok(rows):
-        return _residuals_ok(A[rows], Y[rows], vals[rows], sol[rows, :m], sol[rows, m:], rtol)
+        return _residuals_ok(A[rows], Y[rows], vals[rows], sol[rows, :m], sol[rows, m:])
 
     path = np.full(len(sol), PATH_REFINED, dtype=np.uint8)
     live = ~singular
@@ -259,7 +243,7 @@ def _saddle_systems(kernel, degree, pts, vals):
     return M[:, :m, :m], Y, M, rhs
 
 
-def solve_saddle_batch(kernel, degree, pts, vals, rtol=DEFAULT_RTOL, strict=True):
+def solve_saddle_batch(kernel, degree, pts, vals, strict=True):
     """Solve the saddle-point systems of many equally-sized neighborhoods.
 
     pts: (n, m, 3) neighborhoods, vals: (n, m) data.  Returns (a, b, path)
@@ -280,10 +264,10 @@ def solve_saddle_batch(kernel, degree, pts, vals, rtol=DEFAULT_RTOL, strict=True
         f, chunk_path = vals[rows], path[rows]
         A, Y, M, rhs = _saddle_systems(kernel, degree, pts[rows], f)
         x, singular = _lu_solve(M, rhs)
-        fail = ~_residuals_ok(A, Y, f, x[:, :m], x[:, m:], rtol)
+        fail = ~_residuals_ok(A, Y, f, x[:, :m], x[:, m:])
         if fail.any():
             x[fail], chunk_path[fail] = _climb_ladder(
-                M[fail], rhs[fail], A[fail], Y[fail], f[fail], x[fail], singular[fail], rtol
+                M[fail], rhs[fail], A[fail], Y[fail], f[fail], x[fail], singular[fail]
             )
         sol[rows] = x
         missed = np.nonzero(chunk_path == PATH_MISSED)[0]
@@ -291,7 +275,7 @@ def solve_saddle_batch(kernel, degree, pts, vals, rtol=DEFAULT_RTOL, strict=True
             i = missed[0]
             resid = np.linalg.norm(A[i] @ x[i, :m] + Y[i] @ x[i, m:] - f[i])
             raise SolveError(
-                f"saddle-point solution misses tolerance {rtol:g} "
+                f"saddle-point solution misses tolerance {RTOL:g} "
                 f"(interpolation residual {resid:.3e}, "
                 f"data norm {np.linalg.norm(f[i]):.3e})",
                 node_index=lo + i,
@@ -301,24 +285,24 @@ def solve_saddle_batch(kernel, degree, pts, vals, rtol=DEFAULT_RTOL, strict=True
         log.warning(
             "%d of %d neighborhoods miss the residual tolerance %g; "
             "their lowest-residual attempts are kept",
-            n_missed, n, rtol,
+            n_missed, n, RTOL,
         )
     return sol[:, :m], sol[:, m:], path
 
 
-def _residuals_ok(A, Y, vals, a, b, rtol):
+def _residuals_ok(A, Y, vals, a, b):
     """Per-neighborhood check of interpolation and moment residuals."""
     u = Y.shape[-1]
     pred = np.einsum("nij,nj->ni", A, a)
     if u:
         pred = pred + np.einsum("niu,nu->ni", Y, b)
     scale = np.linalg.norm(vals, axis=1)
-    ok = np.linalg.norm(pred - vals, axis=1) <= rtol * scale
+    ok = np.linalg.norm(pred - vals, axis=1) <= RTOL * scale
     if u:
         moment = np.abs(np.einsum("niu,ni->nu", Y, a)).max(axis=1)
         y_max = np.abs(Y).max(axis=(1, 2))
         ok &= moment <= y_max * (
-            rtol * np.linalg.norm(a, axis=1) + MOMENT_ABS_FLOOR * scale
+            RTOL * np.linalg.norm(a, axis=1) + MOMENT_ABS_FLOOR * scale
         )
     return ok
 

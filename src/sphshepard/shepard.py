@@ -27,7 +27,7 @@ import numpy as np
 from . import harmonics
 from .errors import ConfigError, DataError
 from .kernels import InverseMultiquadric
-from .localfit import DEFAULT_RTOL, PATH_LSTSQ, LocalInterpolant, eval_local, solve_saddle_batch
+from .localfit import PATH_LSTSQ, eval_local, solve_saddle_batch
 from .sphere import NORM_TOL
 from .zones import ZoneIndex, build_zones, compute_delta
 
@@ -49,12 +49,11 @@ class ShepardConfig:
     """Localization parameters and local-fit family for one model.
 
     Construction checks every parameter and raises ConfigError for
-    n_z or n_w below 1, a degree L outside -1..harmonics.MAX_DEGREE,
-    n_z < (L+1)^2, or an `rtol` that is not finite and positive; the
-    kernel checks its own shape parameter.
+    n_z or n_w below 1, a degree L outside -1..harmonics.MAX_DEGREE, or
+    n_z < (L+1)^2; the kernel checks its own shape parameter.
 
     ``strict=False`` keeps the best-effort solution when a local system
-    cannot meet `rtol` (instead of raising); the fit marks such
+    misses localfit.RTOL (instead of raising); the fit marks such
     neighborhoods `missed` in the model's `solve_path` and logs a warning.
     """
 
@@ -62,7 +61,6 @@ class ShepardConfig:
     n_w: int = 10
     kernel: object = InverseMultiquadric(0.5)
     degree: int = -1
-    rtol: float = DEFAULT_RTOL
     strict: bool = True
 
     def __post_init__(self):
@@ -80,8 +78,6 @@ class ShepardConfig:
                 f"n_z must satisfy n_z >= (L+1)^2; got n_z={self.n_z} < {u} "
                 f"for degree L={self.degree}"
             )
-        if not 0.0 < self.rtol < np.inf:
-            raise ConfigError(f"rtol must be finite and positive, got {self.rtol}")
 
 
 @dataclass(frozen=True)
@@ -103,16 +99,6 @@ class ShepardModel:
     def used_fallback(self) -> np.ndarray:
         """(n,) bool, neighborhoods that reached the least-squares rung."""
         return self.solve_path >= PATH_LSTSQ
-
-    def local_fit(self, j: int) -> LocalInterpolant:
-        return LocalInterpolant(
-            centers=self.nodes[self.neighbor_ids[j]],
-            a=self.coeff_a[j],
-            b=self.coeff_b[j],
-            kernel=self.config.kernel,
-            degree=self.config.degree,
-            solve_path=int(self.solve_path[j]),
-        )
 
 
 def _unit_points(points, what: str) -> np.ndarray:
@@ -140,8 +126,8 @@ def _reject_duplicates(nodes, neighbor_ids, centers) -> None:
     """Raise DataError naming two nodes with exactly equal coordinates.
 
     A node's copy lies at the same computed distance from it as the node
-    itself, so both are in the node's neighbor row; the coordinates are
-    compared, since a self distance need not read 0.
+    itself, so a neighbor row of two or more holds both; the coordinates
+    are compared, since a self distance need not read 0.
     """
     same = (
         (centers[..., 0] == nodes[:, None, 0])
@@ -172,16 +158,14 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
         raise DataError(f"value of node {int(np.argmax(bad))} is not finite")
 
     index = build_zones(nodes, compute_delta(n, config.n_z, 1))
-    neighbor_ids = index.nearest_m(nodes, config.n_z).ids
-    centers = np.take(nodes, neighbor_ids, axis=0)
-    _reject_duplicates(nodes, neighbor_ids, centers)
+    # Rows of two or more for the duplicate check; the search is exact, so
+    # their first n_z columns are the n_z-nearest rows.
+    ids = index.nearest_m(nodes, min(max(config.n_z, 2), n)).ids
+    centers = np.take(nodes, ids, axis=0)
+    _reject_duplicates(nodes, ids, centers)
+    neighbor_ids, centers = ids[:, : config.n_z], centers[:, : config.n_z]
     a, b, path = solve_saddle_batch(
-        config.kernel,
-        config.degree,
-        centers,
-        values[neighbor_ids],
-        rtol=config.rtol,
-        strict=config.strict,
+        config.kernel, config.degree, centers, values[neighbor_ids], strict=config.strict
     )
     return ShepardModel(
         nodes=nodes,

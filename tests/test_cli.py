@@ -31,6 +31,14 @@ def test_generate_zero_points_is_usage_error(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_generate_negative_or_non_finite_noise_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for noise in ("-5", "nan", "inf"):
+        assert run(["generate", "geomagnetic-synth", "--n", 20, "--noise", noise, "--out", out]) == 2
+    assert "noise sigma must be finite and >= 0, got -5.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_unwritable_path_is_io_error(tmp_path):
     out = tmp_path / "missing_dir" / "x.csv"
     assert run(["generate", "random", "--n", 5, "--out", out]) == 3
@@ -206,6 +214,16 @@ def test_benchmark_file_mode(tmp_path):
                 "--degrees=-1,0", "--gamma", "0.96", "--nz", 12, "--out", out]) == 0
     table = (out / "benchmark.csv").read_text().splitlines()
     assert len(table) == 1 + 2 * 2
+
+
+def test_benchmark_holdout_must_leave_training_rows(tmp_path, capsys):
+    nodes = tmp_path / "geo.csv"
+    run(["generate", "geomagnetic-synth", "--n", 30, "--seed", 4, "--out", nodes])
+    for holdout in (0, 30, 40):
+        assert run(["benchmark", "--nodes", nodes, "--holdout", holdout,
+                    "--out", tmp_path / "bench"]) == 2
+    err = capsys.readouterr().err
+    assert f"need 1 <= --holdout < 30 (the rows of {nodes}), got 40" in err
 
 
 def test_benchmark_deterministic_aside_from_timings(tmp_path):

@@ -265,6 +265,12 @@ def test_geomagnetic_shape_and_determinism():
     assert np.all(a.values > 10000.0) and np.all(a.values < 80000.0)
 
 
+def test_geomagnetic_rejects_negative_or_non_finite_noise():
+    for noise in (-5.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="noise"):
+            synthetic_geomagnetic(80, 6, noise=noise)
+
+
 def test_geomagnetic_noise_changes_values_only():
     clean = synthetic_geomagnetic(80, 6)
     noisy = synthetic_geomagnetic(80, 6, noise=50.0)

@@ -454,3 +454,24 @@ def test_query_cap_equals_brute_force(case, radius):
     ix = build_zones(pts, delta)
     for c in centers[::3]:
         assert_same_neighbors(ix.query_cap(c, radius), *brute_force_cap_sorted(pts, c, radius))
+
+
+# Maps of the sphere onto itself under which geodesic_distance's dot product
+# x1*x2 + y1*y2 + z1*z2 is bit-for-bit unchanged: they permute its first two
+# terms (addition commutes exactly) or negate both factors of one term.
+SYMMETRIES = {
+    "quarter turn about z": lambda p: np.stack([-p[:, 1], p[:, 0], p[:, 2]], axis=1),
+    "reflection in the equator": lambda p: p * [1.0, 1.0, -1.0],
+    "swap of x and y": lambda p: p[:, [1, 0, 2]],
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(search_cases())
+def test_nearest_is_unchanged_under_exact_symmetries(case):
+    pts, delta, centers, m, _ = case
+    found = build_zones(pts, delta).nearest_m(centers, m)
+    for name, move in SYMMETRIES.items():
+        moved = build_zones(move(pts), delta).nearest_m(move(centers), m)
+        assert np.array_equal(moved.ids, found.ids), name
+        assert np.array_equal(moved.distances, found.distances), name
