@@ -133,9 +133,9 @@ def load_csv(path, geo: bool = False) -> PointSet:
     """Read a node/evaluation-point CSV.
 
     Cartesian mode: rows ``x,y,z`` or ``x,y,z,value``.  Geographic mode
-    (``geo=True``): rows ``lat,lon`` or ``lat,lon,value`` in degrees.  The
-    header line is optional; non-unit points are normalized; zero-length
-    points are rejected.
+    (``geo=True``): rows ``lat,lon`` or ``lat,lon,value`` in degrees, with
+    |lat| <= 90 and a finite lon.  The header line is optional; non-unit
+    points are normalized; zero-length points are rejected.
     """
     rows = []
     header_allowed = True
@@ -173,6 +173,9 @@ def load_csv(path, geo: bool = False) -> PointSet:
         except ValueError as exc:
             raise DataError(str(exc), line=lineno) from None
         if geo:
+            if not (abs(nums[0]) <= 90.0 and math.isfinite(nums[1])):
+                raise DataError(f"latitude {row[0]} is not in [-90, 90] or longitude "
+                                f"{row[1]} is not finite", line=lineno)
             lat, lon = math.radians(nums[0]), math.radians(nums[1])
             pts[i] = (
                 math.cos(lat) * math.cos(lon),

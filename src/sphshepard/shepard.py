@@ -144,9 +144,10 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     """Fit one local interpolant per node on its n_z nearest nodes.
 
     nodes: finite, distinct unit vectors (3,) or (n, 3); values: n finite
-    numbers.  Other input raises DataError.
+    numbers.  Other input raises DataError.  The model keeps a copy of the
+    nodes, and its arrays, the index's included, are read-only.
     """
-    nodes = _unit_points(nodes, "node")
+    nodes = _unit_points(np.array(nodes, dtype=float), "node")
     values = np.asarray(values, dtype=float).reshape(-1)
     n = nodes.shape[0]
     if values.shape[0] != n:
@@ -167,6 +168,9 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     a, b, path = solve_saddle_batch(
         config.kernel, config.degree, centers, values[neighbor_ids], strict=config.strict
     )
+    for arr in (nodes, neighbor_ids, a, b, path, index.points, index.zone_offsets,
+                index.ring_keys, index.ring_ids):
+        arr.flags.writeable = False
     return ShepardModel(
         nodes=nodes,
         config=config,

@@ -9,12 +9,12 @@ point within geodesic distance r of the center differs from it in
 colatitude by at most r.  When the query radius equals the strip width,
 i* = 1 and exactly three strips are scanned.
 
-The index keeps the points in the caller's order.  Its ``ids`` list them
-strip by strip in contiguous runs, strip q first and strip 1 last;
-``zone_offsets`` stores the q+1 run boundaries.  Within a run the points are
-sorted by longitude phi = arctan2(y, x) + pi, which lies in [0, 2*pi]
-(arctan2 gives +pi for y = +0, x < 0, so such a point has phi = 2*pi, on
-the seam with phi = 0).
+The index keeps the points in the caller's order.  The zone order lives
+only in the ring arrays: the points are listed strip by strip in contiguous
+runs, strip q first and strip 1 last, and ``zone_offsets`` stores the q+1
+run boundaries.  Within a run the points are sorted by longitude
+phi = arctan2(y, x) + pi, which lies in [0, 2*pi] (arctan2 gives +pi for
+y = +0, x < 0, so such a point has phi = 2*pi, on the seam with phi = 0).
 
 Neighborhood radii come from
 
@@ -121,19 +121,12 @@ class ZoneIndex:
     """Immutable point set bucketed into latitude strips, each sorted by longitude."""
 
     points: np.ndarray        # (n, 3), in the caller's order
-    ids: np.ndarray           # point indices, strip runs in array order, each by longitude
     delta: float              # strip width, radians
     zone_count: int           # q
-    zone_offsets: np.ndarray  # q+1 run boundaries in `ids`; run i is strip q - i
+    # q+1 run boundaries; run i is strip q - i, at ring positions 2*off[i] .. off[i]+off[i+1]
+    zone_offsets: np.ndarray
     ring_keys: np.ndarray     # (2n,) RING_STRIDE*run + longitude, each run's ring twice
     ring_ids: np.ndarray      # (2n,) int32 point index behind each key
-
-    def strip_slice(self, k: int) -> slice:
-        """Entries of `ids` in strip k (1-based, by colatitude)."""
-        if not 1 <= k <= self.zone_count:
-            raise ValueError(f"strip must be in 1..{self.zone_count}, got {k}")
-        i = self.zone_count - k
-        return slice(int(self.zone_offsets[i]), int(self.zone_offsets[i + 1]))
 
     def query_cap(self, center, radius: float) -> NeighborSet:
         """All points within geodesic `radius` of `center`, nearest first.
@@ -146,7 +139,7 @@ class ZoneIndex:
             raise ValueError(f"radius must be in (0, pi], got {radius}")
         _, cand_ids, dists = self._within(np.asarray(center, dtype=float).reshape(1, 3), radius)
         order = np.lexsort((cand_ids, dists))
-        return NeighborSet(cand_ids[order].astype(self.ids.dtype), dists[order])
+        return NeighborSet(cand_ids[order], dists[order])
 
     def nearest_m(self, centers, m: int) -> NeighborSet:
         """The m nearest points to each center, via escalating cap queries.
@@ -161,7 +154,7 @@ class ZoneIndex:
         centers = np.asarray(centers, dtype=float)
         single = centers.ndim == 1
         centers = centers.reshape(-1, 3)
-        ids = np.empty((centers.shape[0], m), dtype=self.ids.dtype)
+        ids = np.empty((centers.shape[0], m), dtype=self.ring_ids.dtype)
         dists = np.empty((centers.shape[0], m))
         # Centers in z order: a chunk's windows then share strips.
         by_z = centers[:, 2].argsort(kind="stable")
@@ -193,7 +186,7 @@ class ZoneIndex:
             # One padded row of candidates per center, sorted by (distance, id).
             pos = np.arange(row.size) - (counts.cumsum() - counts)[row]
             cand_d = np.full((pending.size, counts.max()), np.inf)
-            cand_id = np.zeros(cand_d.shape, dtype=self.ids.dtype)
+            cand_id = np.zeros(cand_d.shape, dtype=self.ring_ids.dtype)
             cand_d[row, pos] = d
             cand_id[row, pos] = cand
             if n_full < pending.size:
@@ -271,7 +264,6 @@ def build_zones(points, delta: float) -> ZoneIndex:
     ring_ids[first] = ring_ids[second] = ids
     return ZoneIndex(
         points=points,
-        ids=ids,
         delta=float(delta),
         zone_count=q,
         zone_offsets=offsets,

@@ -122,6 +122,18 @@ def test_interpolate_geo_mode(tmp_path):
     assert np.max(np.abs(got.values - 1.0)) <= 1e-9
 
 
+@pytest.mark.parametrize("bad_row", ["inf,0,1", "nan,0,1", "100,20,1", "-90.5,20,1", "10,inf,1",
+                                     "10,nan,1"])
+def test_interpolate_geo_rejects_bad_coordinates(tmp_path, capsys, bad_row):
+    nodes = tmp_path / "geo.csv"
+    lat = np.linspace(-80, 80, 20)
+    body = "\n".join(f"{a},{b},1.0" for a, b in zip(lat, np.linspace(0, 350, 20)))
+    nodes.write_text("lat,lon,value\n" + body + "\n" + bad_row + "\n")
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes, "--out", tmp_path / "o.csv",
+                "--geo", "--nz", 10]) == 3
+    assert "line 22:" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     nodes = tmp_path / "n.csv"
     run(["generate", "random", "--n", 60, "--seed", 3, "--function", "f1", "--out", nodes])

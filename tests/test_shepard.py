@@ -147,6 +147,24 @@ def test_every_local_is_centered_on_its_node():
     assert np.array_equal(nodes[model.neighbor_ids[:, 0]], nodes)
 
 
+def test_model_keeps_its_own_copy_of_the_callers_arrays():
+    model, nodes, values = make_model(n=2000, seed=5, degree=2)
+    x = spiral_points(50).points
+    before = evaluate(model, x)
+    nodes[:] = nodes[::-1].copy()
+    values[:] = 0.0
+    assert evaluate(model, x).tobytes() == before.tobytes()
+
+
+def test_model_arrays_are_read_only():
+    model, _, _ = make_model(n=100, seed=6)
+    index = model.index
+    for arr in (model.nodes, model.neighbor_ids, model.coeff_a, model.coeff_b, model.solve_path,
+                index.points, index.zone_offsets, index.ring_keys, index.ring_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_constant_data_reproduced_by_every_local():
     model, nodes, _ = make_model(n=100, seed=2, degree=0, values=np.full(100, 3.25))
     pts = rand_points(30, 3)
