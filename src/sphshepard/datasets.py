@@ -135,7 +135,9 @@ def load_csv(path, geo: bool = False) -> PointSet:
     Cartesian mode: rows ``x,y,z`` or ``x,y,z,value``.  Geographic mode
     (``geo=True``): rows ``lat,lon`` or ``lat,lon,value`` in degrees, with
     |lat| <= 90 and a finite lon.  The header line is optional; non-unit
-    points are normalized; zero-length points are rejected.
+    points are normalized.  A row whose point has no finite, positive length
+    (all coordinates zero or tiny, one too large to square, inf or NaN) or
+    whose value is not finite raises DataError naming its line.
     """
     rows = []
     header_allowed = True
@@ -183,11 +185,18 @@ def load_csv(path, geo: bool = False) -> PointSet:
                 math.sin(lat),
             )
         else:
-            norm = math.sqrt(nums[0] ** 2 + nums[1] ** 2 + nums[2] ** 2)
-            if norm == 0.0:
-                raise DataError("zero-length point cannot be normalized", line=lineno)
+            # x*x would not raise, but it can round differently from x**2 (pow).
+            try:
+                norm = math.sqrt(nums[0] ** 2 + nums[1] ** 2 + nums[2] ** 2)
+            except OverflowError:
+                norm = math.inf
+            if not 0.0 < norm < math.inf:  # a NaN fails too
+                raise DataError(f"point length {norm!r} is not finite and positive, "
+                                "so it cannot be normalized", line=lineno)
             pts[i] = (nums[0] / norm, nums[1] / norm, nums[2] / norm)
         if vals is not None:
+            if not math.isfinite(nums[coord_cols]):
+                raise DataError(f"value {row[coord_cols]} is not finite", line=lineno)
             vals[i] = nums[coord_cols]
     return PointSet(pts, vals)
 

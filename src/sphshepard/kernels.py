@@ -13,6 +13,7 @@ distinct nodes are symmetric positive definite.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,9 @@ class InverseMultiquadric:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
+        if not (isinstance(self.gamma, numbers.Real) and 0.0 < self.gamma < 1.0):
             raise ConfigError(
-                f"inverse multiquadric needs gamma strictly in (0, 1), got {self.gamma}"
+                f"inverse multiquadric needs gamma strictly in (0, 1), got {self.gamma!r}"
             )
 
     def at_cos(self, c) -> np.ndarray:

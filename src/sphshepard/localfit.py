@@ -11,13 +11,16 @@ system
     [ A   Y ] [a]   [f]
     [ Y^T 0 ] [b] = [0],     A[i,j] = psi(g(x_i, x_j)),  Y[i,k] = Y_k(x_i).
 
+With no harmonics (L = -1) Y is an empty block of U = 0 columns.
+
 Neighborhoods are solved SOLVE_CHUNK at a time: a chunk's systems are
 assembled, solved once by batched dense LU with partial pivoting and checked
 against the interpolation and moment tolerances.  On dense node sets the
 kernel block is nearly flat and its condition number can pass 1/eps, so the
-chunk's neighborhoods that miss the check climb a retry ladder; each rung
-takes the rows the one before left failing and keeps its answer only where
-it lowers the full residual:
+chunk's neighborhoods that miss the check climb a retry ladder.  After
+refinement, each rescue rung solves the rows still failing and keeps its
+answer only where it lowers the full residual; a row a rung cannot solve
+comes back NaN, which never does:
 
     refined   keep-best iterative refinement of the LU solution; each step
               runs only on the rows the step before improved;
@@ -139,25 +142,19 @@ def _lu_solve_extended(M, rhs):
     floor far below double rounding, which rescues neighborhoods whose
     double-precision condition number exceeds 1/eps.  The loops run over
     pivot columns; every operation acts on all rows at once and rounds as
-    the per-system algorithm does, back-substitution sums included.
-    Returns (sol, solved); rows that meet a zero pivot are not solved and
-    leave the other rows untouched.
+    the per-system algorithm does, back-substitution sums included.  A zero
+    pivot is replaced by NaN, which spreads through its row alone, so a row
+    that meets one comes back NaN, as a failed row of the lstsq rung does.
     """
     a = np.array(M, dtype=np.longdouble)
     x = np.array(rhs, dtype=np.longdouble)
     k, n = x.shape
     rows = np.arange(k)
-    solved = np.ones(k, dtype=bool)
     for c in range(n):
         p = c + np.argmax(np.abs(a[:, c:, c]), axis=1)
         a[rows, c], a[rows, p] = a[rows, p], a[rows, c]
         x[rows, c], x[rows, p] = x[rows, p], x[rows, c]
-        zero = a[:, c, c] == 0.0
-        if zero.any():
-            # The whole pivot column is zero there, so a unit pivot
-            # eliminates nothing and keeps those rows finite.
-            solved &= ~zero
-            a[zero, c, c] = 1.0
+        a[a[:, c, c] == 0.0, c, c] = np.nan
         if c + 1 < n:
             mult = a[:, c + 1 :, c] / a[:, c, c, None]
             a[:, c + 1 :, c + 1 :] -= mult[:, :, None] * a[:, c, None, c + 1 :]
@@ -167,7 +164,7 @@ def _lu_solve_extended(M, rhs):
     for c in range(n - 2, -1, -1):
         dot = np.cumsum(a[:, c, c + 1 :] * x[:, c + 1 :], axis=1)[:, -1]
         x[:, c] = (x[:, c] - dot) / a[:, c, c]
-    return x.astype(float), solved
+    return x.astype(float)
 
 
 # np.linalg.lstsq takes one matrix per call, and numpy has no public batched
@@ -190,29 +187,21 @@ def _lstsq_solve(M, rhs):
 
 def _climb_ladder(M, rhs, m, sol):
     """Escalate rows that missed RTOL after the first LU; returns (sol, path)."""
-    def ok(rows):
-        return _residuals_ok(M[rows], rhs[rows], sol[rows], m)
-
     path = np.full(len(sol), PATH_REFINED, dtype=np.uint8)
     sol = _refine_keep_best(M, rhs, sol)
-
-    todo = np.nonzero(~ok(slice(None)))[0]
-    path[todo] = PATH_EXTENDED
-    best_norm = _residual_norms(M[todo], rhs[todo], sol[todo])
-    extended, solved = _lu_solve_extended(M[todo], rhs[todo])
-    ext_norm = _residual_norms(M[todo], rhs[todo], extended)
-    take = solved & (ext_norm < best_norm)
-    sol[todo[take]] = extended[take]
-    best_norm[take] = ext_norm[take]
-
-    still = ~ok(todo)
-    todo, best_norm = todo[still], best_norm[still]
-    path[todo] = PATH_LSTSQ
-    if todo.size:
-        lsq = _lstsq_solve(M[todo], rhs[todo])
-        take = _residual_norms(M[todo], rhs[todo], lsq) < best_norm
-        sol[todo[take]] = lsq[take]
-        path[todo[~ok(todo)]] = PATH_MISSED
+    todo = np.nonzero(~_residuals_ok(M, rhs, sol, m))[0]
+    best = _residual_norms(M[todo], rhs[todo], sol[todo])
+    for code, rung in ((PATH_EXTENDED, _lu_solve_extended), (PATH_LSTSQ, _lstsq_solve)):
+        path[todo] = code
+        Mt, rt = M[todo], rhs[todo]
+        cand = rung(Mt, rt)
+        norm = _residual_norms(Mt, rt, cand)
+        take = norm < best  # a NaN row never wins
+        sol[todo[take]] = cand[take]
+        best[take] = norm[take]
+        still = ~_residuals_ok(Mt, rt, sol[todo], m)
+        todo, best = todo[still], best[still]
+    path[todo] = PATH_MISSED
     return sol, path
 
 
@@ -225,9 +214,8 @@ def _saddle_systems(kernel, degree, pts, vals):
     Y = harmonics.sh_basis(pts, degree)
     M = np.zeros((n, m + u, m + u))
     M[:, :m, :m] = A
-    if u:
-        M[:, :m, m:] = Y
-        M[:, m:, :m] = np.transpose(Y, (0, 2, 1))
+    M[:, :m, m:] = Y
+    M[:, m:, :m] = np.transpose(Y, (0, 2, 1))
     rhs = np.concatenate([vals, np.zeros((n, u))], axis=1)
     return M, rhs
 
@@ -286,16 +274,11 @@ def _residuals_ok(M, rhs, sol, m):
     """
     A, Y, vals = M[:, :m, :m], M[:, :m, m:], rhs[:, :m]
     a, b = sol[:, :m], sol[:, m:]
-    u = Y.shape[-1]
-    pred = np.einsum("nij,nj->ni", A, a)
-    if u:
-        pred = pred + np.einsum("niu,nu->ni", Y, b)
+    pred = np.einsum("nij,nj->ni", A, a) + np.einsum("niu,nu->ni", Y, b)
     scale = np.linalg.norm(vals, axis=1)
-    ok = np.linalg.norm(pred - vals, axis=1) <= RTOL * scale
-    if u:
-        moment = np.abs(np.einsum("niu,ni->nu", Y, a)).max(axis=1)
-        y_max = np.abs(Y).max(axis=(1, 2))
-        ok &= moment <= y_max * (
-            RTOL * np.linalg.norm(a, axis=1) + MOMENT_ABS_FLOOR * scale
-        )
-    return ok
+    # With no harmonic block (L = -1) both maxima are 0 and the moment check holds.
+    moment = np.abs(np.einsum("niu,ni->nu", Y, a)).max(axis=1, initial=0.0)
+    y_max = np.abs(Y).max(axis=(1, 2), initial=0.0)
+    return (np.linalg.norm(pred - vals, axis=1) <= RTOL * scale) & (
+        moment <= y_max * (RTOL * np.linalg.norm(a, axis=1) + MOMENT_ABS_FLOOR * scale)
+    )

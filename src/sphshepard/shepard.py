@@ -20,6 +20,7 @@ with array code.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +49,10 @@ EVAL_CHUNK = 1024
 class ShepardConfig:
     """Localization parameters and local-fit family for one model.
 
-    Construction checks every parameter and raises ConfigError for
-    n_z or n_w below 1, a degree L outside -1..harmonics.MAX_DEGREE, or
-    n_z < (L+1)^2; the kernel checks its own shape parameter.
+    Construction checks every parameter and raises ConfigError for a
+    non-integer n_z, n_w or L, a kernel without ``at_cos``, n_z or n_w below
+    1, a degree L outside -1..harmonics.MAX_DEGREE, or n_z < (L+1)^2; the
+    kernel checks its own shape parameter.
 
     ``strict=False`` keeps the best-effort solution when a local system
     misses localfit.RTOL (instead of raising); the fit marks such
@@ -64,6 +66,11 @@ class ShepardConfig:
     strict: bool = True
 
     def __post_init__(self):
+        for name in ("n_z", "n_w", "degree"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not callable(getattr(self.kernel, "at_cos", None)):
+            raise ConfigError(f"kernel must have an at_cos method, got {self.kernel!r}")
         if self.n_z < 1 or self.n_w < 1:
             raise ConfigError(
                 f"neighborhood sizes must be positive, got n_z={self.n_z}, n_w={self.n_w}"
@@ -101,13 +108,21 @@ class ShepardModel:
         return self.solve_path >= PATH_LSTSQ
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """`x` as a float array; DataError if numpy cannot read it as numbers."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{what}s are not numbers: {exc}") from None
+
+
 def _unit_points(points, what: str) -> np.ndarray:
     """`points` as a (p, 3) array, checked to be finite unit vectors.
 
     Accepts one point (3,) or a stack (p, 3) whose rows have length 1 within
     NORM_TOL; otherwise raises DataError naming the first offending row.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points, what)
     if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
         raise DataError(f"{what}s must have shape (3,) or (p, 3), got {pts.shape}")
     pts = pts.reshape(-1, 3)
@@ -147,8 +162,8 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     numbers.  Other input raises DataError.  The model keeps a copy of the
     nodes, and its arrays, the index's included, are read-only.
     """
-    nodes = _unit_points(np.array(nodes, dtype=float), "node")
-    values = np.asarray(values, dtype=float).reshape(-1)
+    nodes = _unit_points(nodes, "node")
+    values = _floats(values, "value").reshape(-1)
     n = nodes.shape[0]
     if values.shape[0] != n:
         raise DataError(f"got {n} nodes but {values.shape[0]} values")
@@ -159,6 +174,7 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
         raise DataError(f"value of node {int(np.argmax(bad))} is not finite")
 
     index = build_zones(nodes, compute_delta(n, config.n_z, 1))
+    nodes = index.points
     # Rows of two or more for the duplicate check; the search is exact, so
     # their first n_z columns are the n_z-nearest rows.
     ids = index.nearest_m(nodes, min(max(config.n_z, 2), n)).ids
@@ -168,8 +184,7 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     a, b, path = solve_saddle_batch(
         config.kernel, config.degree, centers, values[neighbor_ids], strict=config.strict
     )
-    for arr in (nodes, neighbor_ids, a, b, path, index.points, index.zone_offsets,
-                index.ring_keys, index.ring_ids):
+    for arr in (neighbor_ids, a, b, path):
         arr.flags.writeable = False
     return ShepardModel(
         nodes=nodes,

@@ -238,10 +238,13 @@ class ZoneIndex:
 
 
 def build_zones(points, delta: float) -> ZoneIndex:
-    """Bucket `points` into latitude strips of width `delta`, each sorted by longitude."""
+    """Bucket `points` into latitude strips of width `delta`, each sorted by longitude.
+
+    The index keeps its own copy of the points, and all its arrays are read-only.
+    """
     if not 0.0 < delta <= np.pi:
         raise ValueError(f"delta must be in (0, pi], got {delta}")
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = np.array(points, dtype=float).reshape(-1, 3)
     nan_z = np.isnan(points[:, 2])
     if nan_z.any():  # such a point has no colatitude, so no strip
         raise DataError(f"point {int(np.argmax(nan_z))} has a NaN z coordinate")
@@ -262,6 +265,8 @@ def build_zones(points, delta: float) -> ZoneIndex:
     ring_keys[first] = RING_STRIDE * run + lon
     ring_keys[second] = RING_STRIDE * run + (lon + 2.0 * np.pi)
     ring_ids[first] = ring_ids[second] = ids
+    for arr in (points, offsets, ring_keys, ring_ids):
+        arr.flags.writeable = False
     return ZoneIndex(
         points=points,
         delta=float(delta),

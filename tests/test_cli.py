@@ -134,6 +134,18 @@ def test_interpolate_geo_rejects_bad_coordinates(tmp_path, capsys, bad_row):
     assert "line 22:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["1e308,1e308,0,1", "1e200,0,0,1", "inf,0,0,1", "0,nan,0,1",
+                                     "0,0,0,1", "1,0,0,inf", "1,0,0,nan"])
+def test_interpolate_rejects_unusable_cartesian_rows(tmp_path, capsys, bad_row):
+    nodes = tmp_path / "nodes.csv"
+    pts = np.random.default_rng(3).normal(size=(20, 3))
+    body = "\n".join(f"{x},{y},{z},1.0" for x, y, z in pts)
+    nodes.write_text("x,y,z,value\n" + body + "\n" + bad_row + "\n")
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes, "--out", tmp_path / "o.csv",
+                "--nz", 10]) == 3
+    assert "line 22:" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     nodes = tmp_path / "n.csv"
     run(["generate", "random", "--n", 60, "--seed", 3, "--function", "f1", "--out", nodes])

@@ -174,9 +174,9 @@ def _lu_solve_extended_per_system(M, rhs):
 def test_extended_rung_matches_per_system_algorithm(degree):
     pts, vals = neighborhoods(1000, 30)
     M, rhs = localfit._saddle_systems(FLAT, degree, pts[:300], vals[:300])
-    got, solved = localfit._lu_solve_extended(M, rhs)
+    got = localfit._lu_solve_extended(M, rhs)
     want = np.stack([_lu_solve_extended_per_system(Mi, ri) for Mi, ri in zip(M, rhs)])
-    assert solved.all()
+    assert not np.isnan(got).any()
     assert np.array_equal(got, want)
 
 
@@ -186,11 +186,12 @@ def test_extended_rung_flags_singular_row_only():
     pts[5, 1], vals[5, 1] = pts[5, 0], vals[5, 0]  # duplicate node
     M, rhs = localfit._saddle_systems(FLAT, -1, pts, vals)
     assert _lu_solve_extended_per_system(M[5], rhs[5]) is None
-    got, solved = localfit._lu_solve_extended(M, rhs)
+    got = localfit._lu_solve_extended(M, rhs)
     others = np.arange(20) != 5
-    alone, alone_solved = localfit._lu_solve_extended(M[others], rhs[others])
-    assert solved.tolist() == others.tolist()
-    assert alone_solved.all()
+    alone = localfit._lu_solve_extended(M[others], rhs[others])
+    assert np.isnan(got).any(axis=1).tolist() == (~others).tolist()
+    assert np.isnan(got[5]).all()
+    assert not np.isnan(alone).any()
     assert np.array_equal(got[others], alone)
 
 
@@ -336,6 +337,58 @@ def test_batched_lstsq_equals_numpy_lstsq_per_system(kernel, degree, batch):
     got = localfit._lstsq_solve(M, rhs)
     want = np.stack([np.linalg.lstsq(Mi, ri, rcond=None)[0] for Mi, ri in zip(M, rhs)])
     assert got.tobytes() == want.tobytes()
+
+
+def _climb_ladder_per_row(M, rhs, m, sol):
+    """The retry ladder one system at a time: refinement, the per-system
+    extended LU, then np.linalg.lstsq, each answer kept only where it lowers
+    the residual.  The oracle."""
+    sol, path = sol.copy(), np.empty(len(sol), dtype=np.uint8)
+    for i in range(len(sol)):
+        Mi, ri = M[i : i + 1], rhs[i : i + 1]
+
+        def ok(x):
+            return localfit._residuals_ok(Mi, ri, x[None], m)[0]
+
+        def norm(x):
+            return localfit._residual_norms(Mi, ri, x[None])[0]
+
+        best = localfit._refine_keep_best(Mi, ri, sol[i : i + 1])[0]
+        path[i] = localfit.PATH_REFINED
+        if not ok(best):
+            path[i] = localfit.PATH_EXTENDED
+            x = _lu_solve_extended_per_system(M[i], rhs[i])
+            if x is not None and norm(x) < norm(best):
+                best = x
+        if not ok(best):
+            path[i] = localfit.PATH_LSTSQ
+            x = np.linalg.lstsq(M[i], rhs[i], rcond=None)[0]
+            if norm(x) < norm(best):
+                best = x
+            if not ok(best):
+                path[i] = localfit.PATH_MISSED
+        sol[i] = best
+    return sol, path
+
+
+@pytest.mark.parametrize(
+    "kernel, degree, batch",
+    [(FLAT, -1, flat_batch), (FLAT, 2, flat_batch), (IMQ, -1, duplicate_node_batch),
+     (IMQ, 1, equatorial_batch)],
+    ids=["flat-L-1", "flat-L2", "duplicate-node", "equatorial-L1"],
+)
+def test_ladder_equals_per_row_oracle(kernel, degree, batch):
+    M, rhs = localfit._saddle_systems(kernel, degree, *batch())
+    sol = localfit._lu_solve(M, rhs)
+    fail = ~localfit._residuals_ok(M, rhs, sol, 15)
+    got_sol, got_path = localfit._climb_ladder(M[fail], rhs[fail], 15, sol[fail])
+    want_sol, want_path = _climb_ladder_per_row(M[fail], rhs[fail], 15, sol[fail])
+    assert got_path.tolist() == want_path.tolist()
+    assert got_sol.tobytes() == want_sol.tobytes()
+    if batch is flat_batch:  # the flat batch ends on every path
+        assert set(got_path.tolist()) == set(range(localfit.PATH_REFINED, localfit.PATH_MISSED + 1))
+    else:  # the singular row meets a zero pivot and ends on lstsq
+        assert got_path.tolist() == [localfit.PATH_LSTSQ]
 
 
 def nan_lstsq_row(monkeypatch, row):

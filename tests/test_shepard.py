@@ -56,6 +56,28 @@ def test_config_validates_neighborhood_sizes():
         ShepardConfig(degree=-2)
 
 
+def test_config_rejects_non_integer_sizes_and_degree():
+    for kw in ({"n_z": 15.5}, {"n_w": 2.5}, {"degree": 1.5}, {"n_z": "15"}, {"degree": None}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ShepardConfig(**kw)
+    assert ShepardConfig(n_z=np.int64(15), n_w=np.int32(10), degree=np.int8(2)).n_z == 15
+    for gamma in ("0.5", None, float("nan")):
+        with pytest.raises(ConfigError, match="gamma"):
+            InverseMultiquadric(gamma)
+    with pytest.raises(ConfigError, match="at_cos"):
+        ShepardConfig(kernel=0.5)
+
+
+def test_non_numeric_input_is_a_data_error():
+    model, nodes, values = make_model(n=60, seed=7)
+    with pytest.raises(DataError, match="nodes are not numbers"):
+        fit([["a", "b", "c"]] * 60, values, ShepardConfig())
+    with pytest.raises(DataError, match="values are not numbers"):
+        fit(nodes, ["x"] * 60, ShepardConfig())
+    with pytest.raises(DataError, match="evaluation points are not numbers"):
+        evaluate(model, [[1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
 def test_fit_needs_enough_nodes():
     with pytest.raises(ConfigError):
         fit(rand_points(10, 0), np.zeros(10), ShepardConfig(n_z=15))
@@ -446,3 +468,104 @@ def test_evaluate_reproduces_harmonics_up_to_the_degree(case):
     # of this strategy: 1.8e-9).
     model, h, coeffs, pts = case
     assert rrmse(evaluate(model, pts), sh_basis(pts, h) @ coeffs) <= 1e-7
+
+
+# Inputs every malformed case below starts from: valid, so any error comes
+# from the one defect a case puts in.
+GOOD_NODES = rand_points(40, 60)
+GOOD_VALUES = np.cos(3.0 * GOOD_NODES[:, 0])
+GOOD_CONFIG = ShepardConfig(n_z=10, n_w=5, degree=1)
+NOT_A_NUMBER = st.sampled_from(["x", "", "1,0", None, {"a": 1}, [1.0, 2.0], 10**400])
+
+
+@st.composite
+def malformed_points(draw, points, duplicates=False):
+    """`points` (p, 3), with p >= 2, carrying one defect."""
+    pts = points.copy()
+    i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, 2))
+    kinds = ["columns", "rank", "non-finite", "non-unit", "non-numeric", "ragged"]
+    kind = draw(st.sampled_from(kinds + ["duplicate"] * duplicates))
+    if kind == "columns":
+        return draw(st.sampled_from([pts[:, :0], pts[:, :1], pts[:, :2], np.hstack([pts, pts[:, :1]])]))
+    if kind == "rank":
+        return draw(st.sampled_from([pts[None], pts[:, :, None], pts.ravel(), pts[0, 0]]))
+    if kind == "non-finite":
+        pts[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return pts
+    if kind == "non-unit":
+        pts[i] *= draw(st.floats(0.0, 1e300).filter(lambda s: abs(s - 1.0) > 1e-6))
+        return pts
+    if kind == "duplicate":
+        pts[i] = pts[(i + draw(st.integers(1, len(pts) - 1))) % len(pts)]
+        return pts
+    rows = pts.tolist()
+    if kind == "non-numeric":
+        rows[i][j] = draw(NOT_A_NUMBER)
+    else:
+        del rows[i][j]
+    return rows
+
+
+@st.composite
+def malformed_values(draw):
+    values = GOOD_VALUES.copy()
+    i = draw(st.integers(0, len(values) - 1))
+    kind = draw(st.sampled_from(["length", "non-finite", "non-numeric"]))
+    if kind == "length":
+        return values[:i] if draw(st.booleans()) else np.append(values, 1.0)
+    if kind == "non-finite":
+        values[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return values
+    values = values.tolist()
+    values[i] = draw(NOT_A_NUMBER)
+    return values
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_fit_rejects_malformed_input_with_data_or_config_error(data):
+    if data.draw(st.booleans()):
+        nodes, values = data.draw(malformed_points(GOOD_NODES, duplicates=True)), GOOD_VALUES
+    else:
+        nodes, values = GOOD_NODES, data.draw(malformed_values())
+    with pytest.raises((DataError, ConfigError)):
+        fit(nodes, values, GOOD_CONFIG)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(malformed_points(rand_points(8, 61)))
+def test_evaluate_rejects_malformed_points_with_data_error(points):
+    model = fit(GOOD_NODES, GOOD_VALUES, GOOD_CONFIG)
+    with pytest.raises(DataError):
+        evaluate(model, points)
+
+
+@st.composite
+def malformed_configs(draw):
+    """Keyword arguments of ShepardConfig with one wrong type or value."""
+    kind = draw(st.sampled_from(["type", "kernel", "size", "degree", "n_z below (L+1)^2", "gamma"]))
+    if kind == "type":
+        wrong = st.one_of(st.floats(allow_nan=True), st.text(max_size=3),
+                          NOT_A_NUMBER.filter(lambda x: not isinstance(x, int)))
+        return {draw(st.sampled_from(["n_z", "n_w", "degree"])): draw(wrong)}
+    if kind == "kernel":
+        return {"kernel": draw(st.one_of(st.floats(0.0, 1.0), NOT_A_NUMBER))}
+    if kind == "size":
+        return {draw(st.sampled_from(["n_z", "n_w"])): draw(st.integers(max_value=0))}
+    if kind == "degree":
+        return {"degree": draw(st.integers().filter(lambda d: not -1 <= d <= 2))}
+    if kind == "n_z below (L+1)^2":
+        degree = draw(st.integers(1, 2))
+        return {"degree": degree, "n_z": draw(st.integers(1, sh_dim(degree) - 1))}
+    gamma = st.one_of(st.floats().filter(lambda g: not 0.0 < g < 1.0), st.text(max_size=3),
+                      NOT_A_NUMBER)
+    return {"gamma": draw(gamma)}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(malformed_configs())
+def test_config_rejects_malformed_values_with_config_error(kw):
+    with pytest.raises(ConfigError):
+        if "gamma" in kw:
+            kw["kernel"] = InverseMultiquadric(kw.pop("gamma"))
+        ShepardConfig(**kw)

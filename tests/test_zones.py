@@ -44,6 +44,18 @@ def brute_force_nearest(points, center, m):
 # ------------------------------------------------------------------ deltas
 
 
+def test_index_keeps_its_own_read_only_copy_of_the_points():
+    p = rand_points(2000, 50)
+    ix = build_zones(p, compute_delta(2000, 10))
+    centers = rand_points(50, 51)
+    before = ix.nearest_m(centers, 10).ids.copy()
+    p[:] = p[::-1].copy()
+    assert np.array_equal(ix.nearest_m(centers, 10).ids, before)
+    for arr in (ix.points, ix.zone_offsets, ix.ring_keys, ix.ring_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_delta_matches_arithmetic_oracle():
     assert compute_delta(1000, 15, 1) == pytest.approx(math.acos(0.97), abs=1e-15)
 
