@@ -91,13 +91,6 @@ def _build_config(params) -> shepard.ShepardConfig:
     )
 
 
-def _print_report(report: metrics.ErrorReport) -> None:
-    print(
-        f"rrmse={report.rrmse:.6e} rmse={report.rmse:.6e} "
-        f"max_abs_error={report.max_abs_error:.6e} count={report.count}"
-    )
-
-
 def cmd_generate(args) -> int:
     if args.kind == "spiral":
         data = datasets.spiral_points(args.n)
@@ -123,7 +116,9 @@ def cmd_interpolate(args) -> int:
     datasets.write_csv(args.out, datasets.PointSet(eval_set.points, predicted), value_header="F")
     print(f"wrote {len(eval_set)} interpolated values to {args.out}")
     if eval_set.values is not None:
-        _print_report(metrics.error_report(predicted, eval_set.values))
+        rep = metrics.error_report(predicted, eval_set.values)
+        print(f"rrmse={rep.rrmse:.6e} rmse={rep.rmse:.6e} "
+              f"max_abs_error={rep.max_abs_error:.6e} count={rep.count}")
     return EXIT_OK
 
 
@@ -134,38 +129,66 @@ def _float_list(text: str, cast=float) -> list:
         raise ConfigError(f"could not parse list {text!r}")
 
 
-def _bench_cell(nodes, values, eval_pts, truth, config):
+def _bench_cases(args, params, seeds):
+    """Yield the benchmark's input sets as (label, seed, s, nodes, values, eval_pts, truth).
+
+    With --nodes, one cross-validation split of the file per seed, holding
+    out --holdout rows.  Otherwise one random node set per function x n x
+    seed, scored at --s spiral points.
+    """
+    if args.nodes is not None:
+        data = datasets.load_csv(args.nodes, geo=args.geo)
+        if data.values is None:
+            raise DataError(f"node file {args.nodes} carries no data values")
+        if not 1 <= args.holdout < len(data):
+            raise ConfigError(f"file benchmarks need 1 <= --holdout < {len(data)} "
+                              f"(the rows of {args.nodes}), got {args.holdout}")
+        for seed in seeds:
+            train, test = datasets.split_cross_validation(data, args.holdout, seed)
+            yield (Path(args.nodes).stem, seed, args.holdout,
+                   train.points, train.values, test.points, test.values)
+        return
+    eval_pts = datasets.spiral_points(args.s).points
+    ns = _float_list(args.n, int)
+    if not ns or min(ns) < params["nz"]:
+        raise ConfigError(f"every --n must be >= n_z={params['nz']}, got {args.n!r}")
+    for fid in args.function or ["f1"]:
+        truth = datasets.test_function(fid, eval_pts)
+        for n in ns:
+            for seed in seeds:
+                nodes = datasets.random_uniform_sphere(n, seed).points
+                yield fid, seed, args.s, nodes, datasets.test_function(fid, nodes), eval_pts, truth
+
+
+def _bench_row(case, config) -> dict:
+    """One benchmark.csv row: fit the case's nodes, evaluate at its points, score."""
+    label, seed, s, nodes, values, eval_pts, truth = case
     t0 = time.perf_counter()
     model = shepard.fit(nodes, values, config)
     t1 = time.perf_counter()
     predicted = shepard.evaluate(model, eval_pts)
     t2 = time.perf_counter()
     rep = metrics.error_report(predicted, truth)
-    return rep, t1 - t0, t2 - t1
-
-
-def _bench_row(label, seed, s, config, nodes, values, eval_pts, truth) -> dict:
-    """One benchmark.csv row: fit `nodes`, evaluate at `eval_pts`, score."""
-    rep, t_fit, t_eval = _bench_cell(nodes, values, eval_pts, truth, config)
     return dict(function=label, n=len(nodes), L=config.degree, seed=seed,
                 gamma=config.kernel.gamma, n_z=config.n_z, n_w=config.n_w,
                 s=s, rrmse=rep.rrmse, rmse=rep.rmse, max_abs_error=rep.max_abs_error,
-                fit_seconds=t_fit, eval_seconds=t_eval)
+                fit_seconds=t1 - t0, eval_seconds=t2 - t1)
 
 
-def _summary_table(rows, degrees, ns, params, seeds, s, label) -> str:
-    lines = [
-        f"{label}  (gamma={params['gamma']}, n_z={params['nz']}, n_w={params['nw']}, "
-        f"s={s}, seeds={seeds}; median RRMSE)"
-    ]
-    header = "L \\ n " + "".join(f"{n:>14d}" for n in ns)
-    lines.append(header)
-    for L in degrees:
-        cells = []
-        for n in ns:
-            vals = [r["rrmse"] for r in rows if r["function"] == label and r["n"] == n and r["L"] == L]
-            cells.append(f"{statistics.median(vals):>14.4e}" if vals else f"{'-':>14}")
-        lines.append(f"{L:>5d} " + "".join(cells))
+def _summary(rows, degrees, params, n_seeds) -> str:
+    """One median-RRMSE table per function: a line per L, a column per n in --n order."""
+    lines = []
+    for label in dict.fromkeys(r["function"] for r in rows):
+        mine = [r for r in rows if r["function"] == label]
+        ns = list(dict.fromkeys(r["n"] for r in mine))
+        lines.append(f"{label}  (gamma={params['gamma']}, n_z={params['nz']}, n_w={params['nw']}, "
+                     f"s={mine[0]['s']}, seeds={n_seeds}; median RRMSE)")
+        lines.append("L \\ n " + "".join(f"{n:>14d}" for n in ns))
+        for L in degrees:
+            medians = (statistics.median(r["rrmse"] for r in mine if r["n"] == n and r["L"] == L)
+                       for n in ns)
+            lines.append(f"{L:>5d} " + "".join(f"{m:>14.4e}" for m in medians))
+        lines.append("")
     return "\n".join(lines) + "\n"
 
 
@@ -178,82 +201,29 @@ def cmd_benchmark(args) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
     if not seeds:
         raise ConfigError("--seeds must be at least 1")
+    cases = list(_bench_cases(args, params, seeds))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    bench_rows = []
-    if args.nodes is not None:
-        # Cross-validation on a node file: hold out `--holdout` points per seed.
-        data = datasets.load_csv(args.nodes, geo=args.geo)
-        if data.values is None:
-            raise DataError(f"node file {args.nodes} carries no data values")
-        if not 1 <= args.holdout < len(data):
-            raise ConfigError(f"file benchmarks need 1 <= --holdout < {len(data)} "
-                              f"(the rows of {args.nodes}), got {args.holdout}")
-        label = Path(args.nodes).stem
-        ns = [len(data) - args.holdout]
-        functions = [label]
-        for seed in seeds:
-            train, test = datasets.split_cross_validation(data, args.holdout, seed)
-            for L in degrees:
-                bench_rows.append(_bench_row(label, seed, args.holdout, configs[L],
-                                             train.points, train.values,
-                                             test.points, test.values))
-    else:
-        if args.s < 2:
-            raise ConfigError(f"--s must be at least 2 evaluation points, got {args.s}")
-        functions = args.function or ["f1"]
-        ns = _float_list(args.n, int)
-        if not ns or min(ns) < params["nz"]:
-            raise ConfigError(f"every --n must be >= n_z={params['nz']}, got {args.n!r}")
-        eval_pts = datasets.spiral_points(args.s).points
-        for fid in functions:
-            truth = datasets.test_function(fid, eval_pts)
-            for n in ns:
-                for seed in seeds:
-                    nodes = datasets.random_uniform_sphere(n, seed).points
-                    values = datasets.test_function(fid, nodes)
-                    for L in degrees:
-                        bench_rows.append(_bench_row(fid, seed, args.s, configs[L],
-                                                     nodes, values, eval_pts, truth))
-
+    rows = [_bench_row(case, configs[L]) for case in cases for L in degrees]
     table_path = outdir / "benchmark.csv"
-    cols = ["function", "n", "L", "seed", "gamma", "n_z", "n_w", "s",
-            "rrmse", "rmse", "max_abs_error", "fit_seconds", "eval_seconds"]
-    with open(table_path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in bench_rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
-
-    summary_path = outdir / "summary.txt"
-    with open(summary_path, "w", newline="\n") as fh:
-        for label in functions:
-            fh.write(_summary_table(bench_rows, degrees, ns, params, len(seeds),
-                                    args.holdout if args.nodes else args.s, label))
-            fh.write("\n")
-    print(summary_path.read_text(), end="")
+    datasets.write_table(table_path, list(rows[0]), [list(r.values()) for r in rows])
+    summary = _summary(rows, degrees, params, len(seeds))
+    (outdir / "summary.txt").write_text(summary, newline="\n")
+    print(summary, end="")
 
     if not args.no_gamma_sweep and args.nodes is None:
         sweep_path = outdir / "gamma_sweep.csv"
-        fid, n, seed = functions[0], min(ns), seeds[0]
-        nodes = datasets.random_uniform_sphere(n, seed).points
-        values = datasets.test_function(fid, nodes)
-        eval_pts = datasets.spiral_points(args.s).points
-        truth = datasets.test_function(fid, eval_pts)
-        with open(sweep_path, "w", newline="\n") as fh:
-            fh.write("function,n,L,seed,gamma,rrmse\n")
-            for L in degrees:
-                for gamma in GAMMA_GRID:
-                    # The extreme shape-parameter corners are too
-                    # ill-conditioned for the strict residual contract;
-                    # the sweep reports their best-effort accuracy.
-                    config = replace(configs[L], kernel=InverseMultiquadric(gamma),
-                                     strict=False)
-                    rep, _, _ = _bench_cell(nodes, values, eval_pts, truth, config)
-                    fh.write(f"{fid},{n},{L},{seed},{gamma},{rep.rrmse!r}\n")
+        case = min(cases, key=lambda c: len(c[3]))  # the first case with the smallest n
+        # The extreme shape-parameter corners are too ill-conditioned for the
+        # strict residual contract; the sweep reports their best-effort accuracy.
+        sweep = [_bench_row(case, replace(configs[L], kernel=InverseMultiquadric(gamma), strict=False))
+                 for L in degrees for gamma in GAMMA_GRID]
+        cols = ["function", "n", "L", "seed", "gamma", "rrmse"]
+        datasets.write_table(sweep_path, cols, [[r[c] for c in cols] for r in sweep])
         print(f"wrote shape-parameter sweep to {sweep_path}")
 
-    print(f"wrote {len(bench_rows)} benchmark rows to {table_path}")
+    print(f"wrote {len(rows)} benchmark rows to {table_path}")
     return EXIT_OK
 
 

@@ -201,16 +201,22 @@ def load_csv(path, geo: bool = False) -> PointSet:
     return PointSet(pts, vals)
 
 
+def write_table(path, header, rows) -> None:
+    """Write a header line and rows as CSV; the csv module writes a float as its repr.
+
+    Pass Python floats (``ndarray.tolist()``): a numpy scalar's repr is not
+    its digits.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv(path, data: PointSet, value_header: str = "value") -> None:
     """Write a point set as ``x,y,z[,value]`` rows with a header line."""
-    with open(path, "w", newline="\n") as fh:
-        if data.values is None:
-            fh.write("x,y,z\n")
-            for p in data.points:
-                fh.write(f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
-        else:
-            fh.write(f"x,y,z,{value_header}\n")
-            for p, v in zip(data.points, data.values):
-                fh.write(
-                    f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r},{float(v)!r}\n"
-                )
+    header, rows = ["x", "y", "z"], np.asarray(data.points, dtype=float)
+    if data.values is not None:
+        header.append(value_header)
+        rows = np.column_stack([rows, np.asarray(data.values, dtype=float)])
+    write_table(path, header, rows.tolist())

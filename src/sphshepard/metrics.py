@@ -45,13 +45,10 @@ def error_report(predicted, truth) -> ErrorReport:
     """RRMSE, RMSE and max error; rrmse falls back to rmse for zero truth."""
     p, t = _check_pair(predicted, truth)
     diff = p - t
-    rms = float(np.linalg.norm(diff) / np.sqrt(diff.size))
-    try:
-        rel = rrmse(p, t)
-    except UndefinedRelativeError:
-        rel = rms
+    err, scale = np.linalg.norm(diff), np.linalg.norm(t)
+    rms = float(err / np.sqrt(diff.size))
     return ErrorReport(
-        rrmse=rel,
+        rrmse=float(err / scale) if scale != 0.0 else rms,
         rmse=rms,
         max_abs_error=float(np.max(np.abs(diff))),
         count=int(diff.size),

@@ -1,3 +1,6 @@
+import csv
+import statistics
+
 import numpy as np
 import pytest
 
@@ -214,9 +217,39 @@ def test_benchmark_small_grid(tmp_path):
     assert (out / "summary.txt").exists()
 
 
-def test_benchmark_rejects_zero_eval_points(tmp_path):
+def test_benchmark_rejects_zero_eval_points(tmp_path, capsys):
     assert run(["benchmark", "--function", "f1", "--n", "100", "--s", 0,
                 "--seeds", 1, "--out", tmp_path / "b"]) == 2
+    assert "a spiral needs s >= 2 points, got 0" in capsys.readouterr().err
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_benchmark_sweep_and_summary_follow_the_grid(tmp_path):
+    out = tmp_path / "bench"
+    # --n is deliberately unsorted: the sweep takes the smallest n, the
+    # summary keeps the --n order.
+    assert run(["benchmark", "--n", "150,120", "--seeds", 2, "--degrees=-1,1",
+                "--out", out]) == 0
+    header, *table = read_rows(out / "benchmark.csv")
+    table = [dict(zip(header, r)) for r in table]
+    sweep_header, *sweep = read_rows(out / "gamma_sweep.csv")
+    assert sweep_header == ["function", "n", "L", "seed", "gamma", "rrmse"]
+    assert {tuple(r[:2] + r[3:4]) for r in sweep} == {("f1", "120", "0")}
+    for fid, n, L, seed, gamma, rel in sweep:
+        if gamma == "0.5":
+            same = [r["rrmse"] for r in table if (r["n"], r["L"], r["seed"]) == (n, L, seed)]
+            assert same == [rel]
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[1].split()[3:] == ["150", "120"]
+    for line in lines[2:4]:
+        L, *cells = line.split()
+        medians = [statistics.median(float(r["rrmse"]) for r in table if (r["n"], r["L"]) == (n, L))
+                   for n in ("150", "120")]
+        assert cells == [f"{m:.4e}" for m in medians]
 
 
 def test_benchmark_takes_degrees_only(tmp_path, capsys):
@@ -238,6 +271,17 @@ def test_benchmark_file_mode(tmp_path):
                 "--degrees=-1,0", "--gamma", "0.96", "--nz", 12, "--out", out]) == 0
     table = (out / "benchmark.csv").read_text().splitlines()
     assert len(table) == 1 + 2 * 2
+
+
+def test_benchmark_file_label_with_comma_is_quoted(tmp_path):
+    nodes = tmp_path / "a,b.csv"
+    run(["generate", "geomagnetic-synth", "--n", 120, "--seed", 4, "--out", nodes])
+    out = tmp_path / "bench"
+    assert run(["benchmark", "--nodes", nodes, "--holdout", 20, "--seeds", 2,
+                "--degrees=-1,0", "--out", out]) == 0
+    rows = read_rows(out / "benchmark.csv")
+    assert [len(r) for r in rows] == [13] * 5
+    assert [r[0] for r in rows[1:]] == ["a,b"] * 4
 
 
 def test_benchmark_holdout_must_leave_training_rows(tmp_path, capsys):

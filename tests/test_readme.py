@@ -1,19 +1,37 @@
-"""The README's library quick start runs as printed and prints the figure it states."""
+"""The README's quick start and CLI lines run as printed.
+
+The CLI check runs the `generate` and `interpolate` lines of the README's
+CLI block; it leaves out the `benchmark` lines, whose n=4000 x 5-seed grid
+is too slow for the tier-1 suite.
+"""
 
 import re
+import shlex
 from pathlib import Path
+
+from sphshepard.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def quick_start_block() -> str:
-    section = README.read_text().split("## Library quick start", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+def code_block(heading: str, lang: str) -> str:
+    section = README.read_text().split(f"## {heading}", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
 
 def test_readme_quick_start_prints_its_stated_rrmse(capsys):
-    code = quick_start_block()
+    code = code_block("Library quick start", "python")
     stated = float(re.search(r"# ~(\S+)", code).group(1))
     exec(compile(code, str(README), "exec"), {})
     printed = float(capsys.readouterr().out)
     assert stated / 2 <= printed <= 2 * stated
+
+
+def test_readme_cli_generate_and_interpolate_lines_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line) for line in code_block("CLI", "sh").replace("\\\n", " ").splitlines()
+                if line.startswith(("sphshepard generate", "sphshepard interpolate"))]
+    assert [argv[1] for argv in commands] == ["generate", "generate", "interpolate", "generate"]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "surface.csv").exists()
