@@ -129,6 +129,14 @@ def _float_list(text: str, cast=float) -> list:
         raise ConfigError(f"could not parse list {text!r}")
 
 
+def _seed(text: str) -> int:
+    """The type of --seed: numpy's generators take integers >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
 def _bench_cases(args, params, seeds):
     """Yield the benchmark's input sets as (label, seed, s, nodes, values, eval_pts, truth).
 
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a point-set CSV")
     p_gen.add_argument("kind", choices=["random", "spiral", "geomagnetic-synth"])
     p_gen.add_argument("--n", type=int, required=True, help="number of points")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--noise", type=float, default=0.0,
                        help="additive noise sigma for geomagnetic-synth")
     p_gen.add_argument("--function", choices=["f1", "f2"], default=None,
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", default="1000,4000", help="comma list of node counts")
     p_bench.add_argument("--degrees", default="-1,0,1,2", help="comma list of L values")
     p_bench.add_argument("--s", type=int, default=600, help="spiral evaluation-point count")
-    p_bench.add_argument("--seed", type=int, default=0, help="first seed")
+    p_bench.add_argument("--seed", type=_seed, default=0, help="first seed")
     p_bench.add_argument("--seeds", type=int, default=5, help="number of seeds")
     p_bench.add_argument("--no-gamma-sweep", action="store_true")
     p_bench.add_argument("--out", required=True, help="output directory")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,84 +122,61 @@ def split_cross_validation(data: PointSet, s: int, seed: int) -> tuple[PointSet,
     return take(train_ids), take(test_ids)
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
 def load_csv(path, geo: bool = False) -> PointSet:
     """Read a node/evaluation-point CSV.
 
     Cartesian mode: rows ``x,y,z`` or ``x,y,z,value``.  Geographic mode
     (``geo=True``): rows ``lat,lon`` or ``lat,lon,value`` in degrees, with
-    |lat| <= 90 and a finite lon.  The header line is optional; non-unit
-    points are normalized.  A row whose point has no finite, positive length
-    (all coordinates zero or tiny, one too large to square, inf or NaN) or
-    whose value is not finite raises DataError naming its line.
+    |lat| <= 90 and a finite lon.  The first non-empty line is a header when
+    one of its fields is not a number; non-unit points are normalized.  A
+    row whose point has no finite, positive length (all coordinates zero or
+    tiny, one too large to square, inf or NaN) or whose value is not finite
+    raises DataError naming its line.
     """
-    rows = []
-    header_allowed = True
+    coord_cols = 2 if geo else 3
+    widths, header_allowed = (coord_cols, coord_cols + 1), True
+    pts, vals = array("d"), array("d")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            row = [t.strip() for t in row if t.strip() != ""] if row else []
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            row = [t.strip() for t in row if t.strip()]
             if not row:
                 continue
-            if header_allowed and not all(_is_number(t) for t in row):
+            try:
+                nums, error = [float(t) for t in row], None
+            except ValueError as exc:
+                nums, error = None, exc
+            if header_allowed and error:
                 header_allowed = False
                 continue  # single optional header line
             header_allowed = False
-            rows.append((lineno, row))
-
-    if not rows:
+            if len(row) not in widths:
+                expected = " or ".join(map(str, widths))
+                raise DataError(f"expected {expected} fields, got {len(row)}", line=lineno)
+            widths = (len(row),)
+            if error:
+                raise DataError(str(error), line=lineno)
+            if geo:
+                if not (abs(nums[0]) <= 90.0 and math.isfinite(nums[1])):
+                    raise DataError(f"latitude {row[0]} is not in [-90, 90] or longitude "
+                                    f"{row[1]} is not finite", line=lineno)
+                lat, lon = math.radians(nums[0]), math.radians(nums[1])
+                pts.extend((math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
+                            math.sin(lat)))
+            else:
+                x, y, z = nums[:3]
+                norm = math.sqrt(x * x + y * y + z * z)  # a square too large to hold is inf
+                if not 0.0 < norm < math.inf:  # a NaN fails too
+                    raise DataError(f"point length {norm!r} is not finite and positive, "
+                                    "so it cannot be normalized", line=lineno)
+                pts.extend((x / norm, y / norm, z / norm))
+            if len(row) > coord_cols:
+                if not math.isfinite(nums[-1]):
+                    raise DataError(f"value {row[-1]} is not finite", line=lineno)
+                vals.append(nums[-1])
+    if not pts:
         warnings.warn(f"{path}: no data rows, returning an empty point set")
         return PointSet(np.empty((0, 3)), None)
-
-    coord_cols = 2 if geo else 3
-    width = len(rows[0][1])
-    if width not in (coord_cols, coord_cols + 1):
-        raise DataError(
-            f"expected {coord_cols} or {coord_cols + 1} fields, got {width}",
-            line=rows[0][0],
-        )
-
-    pts = np.empty((len(rows), 3))
-    vals = np.empty(len(rows)) if width == coord_cols + 1 else None
-    for i, (lineno, row) in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"expected {width} fields, got {len(row)}", line=lineno)
-        try:
-            nums = [float(t) for t in row]
-        except ValueError as exc:
-            raise DataError(str(exc), line=lineno) from None
-        if geo:
-            if not (abs(nums[0]) <= 90.0 and math.isfinite(nums[1])):
-                raise DataError(f"latitude {row[0]} is not in [-90, 90] or longitude "
-                                f"{row[1]} is not finite", line=lineno)
-            lat, lon = math.radians(nums[0]), math.radians(nums[1])
-            pts[i] = (
-                math.cos(lat) * math.cos(lon),
-                math.cos(lat) * math.sin(lon),
-                math.sin(lat),
-            )
-        else:
-            # x*x would not raise, but it can round differently from x**2 (pow).
-            try:
-                norm = math.sqrt(nums[0] ** 2 + nums[1] ** 2 + nums[2] ** 2)
-            except OverflowError:
-                norm = math.inf
-            if not 0.0 < norm < math.inf:  # a NaN fails too
-                raise DataError(f"point length {norm!r} is not finite and positive, "
-                                "so it cannot be normalized", line=lineno)
-            pts[i] = (nums[0] / norm, nums[1] / norm, nums[2] / norm)
-        if vals is not None:
-            if not math.isfinite(nums[coord_cols]):
-                raise DataError(f"value {row[coord_cols]} is not finite", line=lineno)
-            vals[i] = nums[coord_cols]
-    return PointSet(pts, vals)
+    return PointSet(np.frombuffer(pts).reshape(-1, 3), np.frombuffer(vals) if vals else None)
 
 
 def write_table(path, header, rows) -> None:

@@ -91,7 +91,10 @@ class ShepardConfig:
 class ShepardModel:
     """All n fitted local interpolants, the configuration and the zone index.
 
-    Local fit j is centered on nodes[neighbor_ids[j]]; its first row is node j.
+    Local fit j is centered on nodes[neighbor_ids[j]], the n_z nodes nearest
+    node j by computed distance, ties by id.  That is node j first, unless
+    another node lies within rounding of node j (a self distance can read
+    1e-8): that node can then come first, or with n_z = 1 stand alone.
     """
 
     nodes: np.ndarray         # (n, 3)
@@ -137,30 +140,23 @@ def _unit_points(points, what: str) -> np.ndarray:
     return pts
 
 
-def _reject_duplicates(nodes, neighbor_ids, centers) -> None:
-    """Raise DataError naming two nodes with exactly equal coordinates.
-
-    A node's copy lies at the same computed distance from it as the node
-    itself, so a neighbor row of two or more holds both; the coordinates
-    are compared, since a self distance need not read 0.
-    """
-    same = (
-        (centers[..., 0] == nodes[:, None, 0])
-        & (centers[..., 1] == nodes[:, None, 1])
-        & (centers[..., 2] == nodes[:, None, 2])
-    )
-    rows = np.flatnonzero(np.count_nonzero(same, axis=1) > 1)
-    if rows.size:
-        i, j = np.sort(neighbor_ids[rows[0]][same[rows[0]]])[:2]
-        raise DataError(f"nodes {i} and {j} have equal coordinates")
+def _reject_duplicates(nodes) -> None:
+    """DataError naming the two smallest ids of the equal-node group with the smallest id."""
+    order = np.lexsort(nodes.T)  # equal rows end up adjacent, in id order
+    sorted_nodes = nodes[order]
+    pairs = np.flatnonzero(np.all(sorted_nodes[1:] == sorted_nodes[:-1], axis=1))
+    if pairs.size:
+        k = pairs[np.argmin(order[pairs])]
+        raise DataError(f"nodes {order[k]} and {order[k + 1]} have equal coordinates")
 
 
 def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     """Fit one local interpolant per node on its n_z nearest nodes.
 
     nodes: finite, distinct unit vectors (3,) or (n, 3); values: n finite
-    numbers.  Other input raises DataError.  The model keeps a copy of the
-    nodes, and its arrays, the index's included, are read-only.
+    numbers.  Other input raises DataError; so do two nodes with exactly
+    equal coordinates, for every n_z.  The model keeps a copy of the nodes,
+    and its arrays, the index's included, are read-only.
     """
     nodes = _unit_points(nodes, "node")
     values = _floats(values, "value").reshape(-1)
@@ -173,14 +169,11 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     if bad.any():
         raise DataError(f"value of node {int(np.argmax(bad))} is not finite")
 
+    _reject_duplicates(nodes)
     index = build_zones(nodes, compute_delta(n, config.n_z, 1))
     nodes = index.points
-    # Rows of two or more for the duplicate check; the search is exact, so
-    # their first n_z columns are the n_z-nearest rows.
-    ids = index.nearest_m(nodes, min(max(config.n_z, 2), n)).ids
-    centers = np.take(nodes, ids, axis=0)
-    _reject_duplicates(nodes, ids, centers)
-    neighbor_ids, centers = ids[:, : config.n_z], centers[:, : config.n_z]
+    neighbor_ids = index.nearest_m(nodes, config.n_z).ids
+    centers = np.take(nodes, neighbor_ids, axis=0)
     a, b, path = solve_saddle_batch(
         config.kernel, config.degree, centers, values[neighbor_ids], strict=config.strict
     )

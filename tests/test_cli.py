@@ -42,6 +42,18 @@ def test_generate_negative_or_non_finite_noise_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "random", "--n", 10],
+    ["generate", "geomagnetic-synth", "--n", 10],
+    ["benchmark", "--n", 100, "--s", 20, "--seeds", 1],
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(command + ["--seed", -1, "--out", out]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_unwritable_path_is_io_error(tmp_path):
     out = tmp_path / "missing_dir" / "x.csv"
     assert run(["generate", "random", "--n", 5, "--out", out]) == 3

@@ -132,6 +132,20 @@ def test_load_normalizes_non_unit_rows(tmp_path):
     assert data.points.tolist() == [[0.0, 0.0, 1.0]]
 
 
+def test_load_normalizes_with_correctly_rounded_squares(tmp_path):
+    """The length is the square root of x*x + y*y + z*z, each square rounded once.
+
+    x = -1.818447760617123 is one of the doubles whose x**2 the C library's pow
+    misrounds on some platforms (glibc 2.36); where pow rounds correctly,
+    x**2 == x*x and a loader that used either would pass.
+    """
+    x, y, z = -1.818447760617123, 2.0, 0.0
+    path = tmp_path / "round.csv"
+    path.write_text(f"{x!r},2,0\n")
+    norm = math.sqrt(x * x + y * y + z * z)
+    assert load_csv(path).points.tolist() == [[x / norm, y / norm, z / norm]]
+
+
 def test_load_empty_file_warns(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -12,6 +12,7 @@ from sphshepard import (
     fit,
     geodesic_distance,
     normalize,
+    random_uniform_sphere,
     rrmse,
     sh_basis,
     sh_dim,
@@ -132,6 +133,18 @@ def test_fit_with_one_node_rows_names_a_duplicate_node():
     values = np.arange(50) + 0.665
     with pytest.raises(DataError, match="nodes 3 and 7 have equal coordinates"):
         fit(nodes, values, ShepardConfig(n_z=1, n_w=1))
+
+
+@pytest.mark.parametrize("n_z", [1, 2])
+def test_fit_names_a_duplicate_beside_a_node_within_rounding(n_z):
+    # Node 52 lies within rounding of the pair 50/51: node 50's self distance
+    # reads 1.5e-8 but node 52's distance from it reads 0, so a neighbor row
+    # of one or two holds node 52 and only one copy of the pair.
+    j = [0.5311368831348725, 0.7971927168145042, 0.2870146052584823]
+    k = [0.5311368830533151, 0.7971927168880681, 0.2870146052084818]
+    nodes = np.vstack([random_uniform_sphere(50, 3).points, j, j, k])
+    with pytest.raises(DataError, match="nodes 50 and 51 have equal coordinates"):
+        fit(nodes, np.arange(53.0), ShepardConfig(n_z=n_z, n_w=3, degree=-1))
 
 
 def test_fit_with_one_node_rows():
