@@ -40,8 +40,12 @@ GAMMA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
 
 def _read_config(path) -> dict:
     """Parse a simple key=value config file (blank lines and # comments ok)."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise datasets.decode_error(path, exc) from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -52,43 +56,31 @@ def _read_config(path) -> dict:
     return out
 
 
-def _resolve_params(args) -> dict:
-    """Merge flags over config-file values over the ShepardConfig defaults.
+def _resolve_config(args) -> shepard.ShepardConfig:
+    """The command's ShepardConfig: flags over config-file values over its defaults.
 
     A command reads the config keys it has flags for; any other key in the
     file raises ConfigError.
     """
     config = _read_config(args.config) if getattr(args, "config", None) else {}
-    base = shepard.ShepardConfig()
-    defaults = {"gamma": base.kernel.gamma, "degree": base.degree, "nz": base.n_z, "nw": base.n_w}
-    defaults = {key: value for key, value in defaults.items() if hasattr(args, key)}
     for key in config:
-        if key not in defaults:
+        if key not in ("gamma", "degree", "nz", "nw") or not hasattr(args, key):
             hint = " (it takes L from --degrees)" if key == "degree" else ""
             raise ConfigError(f"config key {key!r} is not read by {args.command}{hint}")
-    params = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = flag
-        elif key in config:
-            try:
-                params[key] = type(default)(config[key])
-            except ValueError:
-                kind = type(default).__name__
-                raise ConfigError(f"config value {key} = {config[key]!r} is not a valid {kind}") from None
-        else:
-            params[key] = default
-    return params
-
-
-def _build_config(params) -> shepard.ShepardConfig:
-    return shepard.ShepardConfig(
-        n_z=params["nz"],
-        n_w=params["nw"],
-        kernel=InverseMultiquadric(params["gamma"]),
-        degree=params["degree"],
-    )
+    def value(key, default):
+        if getattr(args, key, None) is not None:
+            return getattr(args, key)
+        if key not in config:
+            return default
+        try:
+            return type(default)(config[key])
+        except ValueError:
+            kind = type(default).__name__
+            raise ConfigError(f"config value {key} = {config[key]!r} is not a valid {kind}") from None
+    base = shepard.ShepardConfig()
+    return replace(base, n_z=value("nz", base.n_z), n_w=value("nw", base.n_w),
+                   kernel=InverseMultiquadric(value("gamma", base.kernel.gamma)),
+                   degree=value("degree", base.degree))
 
 
 def cmd_generate(args) -> int:
@@ -106,7 +98,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    config = _build_config(_resolve_params(args))
+    config = _resolve_config(args)
     nodes = datasets.load_csv(args.nodes, geo=args.geo)
     if nodes.values is None:
         raise DataError(f"node file {args.nodes} carries no data values")
@@ -122,9 +114,9 @@ def cmd_interpolate(args) -> int:
     return EXIT_OK
 
 
-def _float_list(text: str, cast=float) -> list:
+def _int_list(text: str) -> list:
     try:
-        return [cast(t) for t in text.split(",") if t.strip() != ""]
+        return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
         raise ConfigError(f"could not parse list {text!r}")
 
@@ -137,7 +129,7 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _bench_cases(args, params, seeds):
+def _bench_cases(args, n_z, seeds):
     """Yield the benchmark's input sets as (label, seed, s, nodes, values, eval_pts, truth).
 
     With --nodes, one cross-validation split of the file per seed, holding
@@ -157,9 +149,9 @@ def _bench_cases(args, params, seeds):
                    train.points, train.values, test.points, test.values)
         return
     eval_pts = datasets.spiral_points(args.s).points
-    ns = _float_list(args.n, int)
-    if not ns or min(ns) < params["nz"]:
-        raise ConfigError(f"every --n must be >= n_z={params['nz']}, got {args.n!r}")
+    ns = _int_list(args.n)
+    if not ns or min(ns) < n_z:
+        raise ConfigError(f"every --n must be >= n_z={n_z}, got {args.n!r}")
     for fid in args.function or ["f1"]:
         truth = datasets.test_function(fid, eval_pts)
         for n in ns:
@@ -183,16 +175,17 @@ def _bench_row(case, config) -> dict:
                 fit_seconds=t1 - t0, eval_seconds=t2 - t1)
 
 
-def _summary(rows, degrees, params, n_seeds) -> str:
-    """One median-RRMSE table per function: a line per L, a column per n in --n order."""
+def _summary(rows) -> str:
+    """One median-RRMSE table per function: a line per L, a column per n, in row order."""
     lines = []
     for label in dict.fromkeys(r["function"] for r in rows):
         mine = [r for r in rows if r["function"] == label]
         ns = list(dict.fromkeys(r["n"] for r in mine))
-        lines.append(f"{label}  (gamma={params['gamma']}, n_z={params['nz']}, n_w={params['nw']}, "
-                     f"s={mine[0]['s']}, seeds={n_seeds}; median RRMSE)")
+        first = mine[0]
+        lines.append(f"{label}  (gamma={first['gamma']}, n_z={first['n_z']}, n_w={first['n_w']}, "
+                     f"s={first['s']}, seeds={len({r['seed'] for r in mine})}; median RRMSE)")
         lines.append("L \\ n " + "".join(f"{n:>14d}" for n in ns))
-        for L in degrees:
+        for L in dict.fromkeys(r["L"] for r in mine):
             medians = (statistics.median(r["rrmse"] for r in mine if r["n"] == n and r["L"] == L)
                        for n in ns)
             lines.append(f"{L:>5d} " + "".join(f"{m:>14.4e}" for m in medians))
@@ -201,22 +194,22 @@ def _summary(rows, degrees, params, n_seeds) -> str:
 
 
 def cmd_benchmark(args) -> int:
-    params = _resolve_params(args)
-    degrees = _float_list(args.degrees, int)
+    base = _resolve_config(args)
+    degrees = _int_list(args.degrees)
     if not degrees:
         raise ConfigError("--degrees must list at least one L")
-    configs = {L: _build_config({**params, "degree": L}) for L in degrees}
+    configs = {L: replace(base, degree=L) for L in degrees}
     seeds = list(range(args.seed, args.seed + args.seeds))
     if not seeds:
         raise ConfigError("--seeds must be at least 1")
-    cases = list(_bench_cases(args, params, seeds))
+    cases = list(_bench_cases(args, base.n_z, seeds))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = [_bench_row(case, configs[L]) for case in cases for L in degrees]
     table_path = outdir / "benchmark.csv"
     datasets.write_table(table_path, list(rows[0]), [list(r.values()) for r in rows])
-    summary = _summary(rows, degrees, params, len(seeds))
+    summary = _summary(rows)
     (outdir / "summary.txt").write_text(summary, newline="\n")
     print(summary, end="")
 

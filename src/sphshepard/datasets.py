@@ -136,47 +136,67 @@ def load_csv(path, geo: bool = False) -> PointSet:
     coord_cols = 2 if geo else 3
     widths, header_allowed = (coord_cols, coord_cols + 1), True
     pts, vals = array("d"), array("d")
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            row = [t.strip() for t in row if t.strip()]
-            if not row:
-                continue
-            try:
-                nums, error = [float(t) for t in row], None
-            except ValueError as exc:
-                nums, error = None, exc
-            if header_allowed and error:
-                header_allowed = False
-                continue  # single optional header line
+    for lineno, row in enumerate(_csv_rows(path), start=1):
+        row = [t.strip() for t in row if t.strip()]
+        if not row:
+            continue
+        try:
+            nums, error = [float(t) for t in row], None
+        except ValueError as exc:
+            nums, error = None, exc
+        if header_allowed and error:
             header_allowed = False
-            if len(row) not in widths:
-                expected = " or ".join(map(str, widths))
-                raise DataError(f"expected {expected} fields, got {len(row)}", line=lineno)
-            widths = (len(row),)
-            if error:
-                raise DataError(str(error), line=lineno)
-            if geo:
-                if not (abs(nums[0]) <= 90.0 and math.isfinite(nums[1])):
-                    raise DataError(f"latitude {row[0]} is not in [-90, 90] or longitude "
-                                    f"{row[1]} is not finite", line=lineno)
-                lat, lon = math.radians(nums[0]), math.radians(nums[1])
-                pts.extend((math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
-                            math.sin(lat)))
-            else:
-                x, y, z = nums[:3]
-                norm = math.sqrt(x * x + y * y + z * z)  # a square too large to hold is inf
-                if not 0.0 < norm < math.inf:  # a NaN fails too
-                    raise DataError(f"point length {norm!r} is not finite and positive, "
-                                    "so it cannot be normalized", line=lineno)
-                pts.extend((x / norm, y / norm, z / norm))
-            if len(row) > coord_cols:
-                if not math.isfinite(nums[-1]):
-                    raise DataError(f"value {row[-1]} is not finite", line=lineno)
-                vals.append(nums[-1])
+            continue  # single optional header line
+        header_allowed = False
+        if len(row) not in widths:
+            expected = " or ".join(map(str, widths))
+            raise DataError(f"expected {expected} fields, got {len(row)}", line=lineno)
+        widths = (len(row),)
+        if error:
+            raise DataError(str(error), line=lineno)
+        if geo:
+            if not (abs(nums[0]) <= 90.0 and math.isfinite(nums[1])):
+                raise DataError(f"latitude {row[0]} is not in [-90, 90] or longitude "
+                                f"{row[1]} is not finite", line=lineno)
+            lat, lon = math.radians(nums[0]), math.radians(nums[1])
+            pts.extend((math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
+                        math.sin(lat)))
+        else:
+            x, y, z = nums[:3]
+            norm = math.sqrt(x * x + y * y + z * z)  # a square too large to hold is inf
+            if not 0.0 < norm < math.inf:  # a NaN fails too
+                raise DataError(f"point length {norm!r} is not finite and positive, "
+                                "so it cannot be normalized", line=lineno)
+            pts.extend((x / norm, y / norm, z / norm))
+        if len(row) > coord_cols:
+            if not math.isfinite(nums[-1]):
+                raise DataError(f"value {row[-1]} is not finite", line=lineno)
+            vals.append(nums[-1])
     if not pts:
         warnings.warn(f"{path}: no data rows, returning an empty point set")
         return PointSet(np.empty((0, 3)), None)
     return PointSet(np.frombuffer(pts).reshape(-1, 3), np.frombuffer(vals) if vals else None)
+
+
+def _csv_rows(path):
+    """Yield the rows of a CSV file; a file that cannot be read as CSV text raises DataError.
+
+    A decode error names no line: the text layer decodes the file in chunks,
+    so the row at which it surfaces need not hold the bad byte.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise DataError(f"cannot read {path}: {exc}", line=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise decode_error(path, exc) from None
+
+
+def decode_error(path, exc: UnicodeDecodeError) -> DataError:
+    """The DataError for an input file that does not decode as text."""
+    return DataError(f"cannot read {path}: it is not {exc.encoding} text ({exc.reason})")
 
 
 def write_table(path, header, rows) -> None:

@@ -124,6 +124,44 @@ def test_interpolate_malformed_file_is_data_error(tmp_path):
                 "--out", tmp_path / "o.csv"]) == 3
 
 
+def write_node_file(path, n=60, seed=3, function="f1"):
+    args = ["generate", "random", "--n", n, "--seed", seed, "--out", path]
+    assert run(args + (["--function", function] if function else [])) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["interpolate", "benchmark"])
+def test_node_file_without_values_is_data_error(tmp_path, capsys, command):
+    nodes = write_node_file(tmp_path / "bare.csv", function=None)
+    args = ["--eval", nodes] if command == "interpolate" else ["--holdout", 10]
+    assert run([command, "--nodes", nodes, *args, "--out", tmp_path / "o"]) == 3
+    assert f"node file {nodes} carries no data values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, content, line", [
+    ("nodes", b"x,y,z,value\n1,0,0,1\n0,1,0,\xff\n", None),
+    ("nodes", b"x,y,z,value\n1,0,0,1\n0,1,0," + b"1" * 200_000 + b"\n", 3),
+    ("config", b"gamma = 0.4\n# \xff\n", None),
+], ids=["nodes-not-text", "nodes-huge-field", "config-not-text"])
+def test_unreadable_input_file_is_data_error(tmp_path, capsys, where, content, line):
+    nodes = write_node_file(tmp_path / "n.csv")
+    bad = tmp_path / f"bad.{where}"
+    bad.write_bytes(content)
+    files = ["--nodes", nodes, "--config", bad] if where == "config" else ["--nodes", bad]
+    assert run(["interpolate", *files, "--eval", nodes, "--out", tmp_path / "o.csv"]) == 3
+    located = f"line {line}: " if line else ""  # a decode error names no line
+    assert capsys.readouterr().err.startswith(f"data error: {located}cannot read {bad}: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_unsolvable_neighborhood_is_numerical_failure(tmp_path, capsys):
+    # gamma=0.05 is near the flat limit: node 4's strict local solve misses the tolerance.
+    nodes = write_node_file(tmp_path / "n.csv", n=1000, seed=0)
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes, "--out", tmp_path / "o.csv",
+                "--gamma", 0.05]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: neighborhood of node 4: ")
+
+
 def test_interpolate_geo_mode(tmp_path):
     nodes = tmp_path / "geo.csv"
     lat = np.linspace(-80, 80, 40)
@@ -188,6 +226,15 @@ def test_config_file_rejects_unparsable_value(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
+    nodes = write_node_file(tmp_path / "n.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment only\n\n   \nnz = 12  # trailing comment\nnw 8\n")
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes,
+                "--out", tmp_path / "o.csv", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "data error: line 5: expected key=value, got 'nw 8'\n"
+
+
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     nodes = tmp_path / "n.csv"
     run(["generate", "random", "--n", 60, "--seed", 3, "--function", "f1", "--out", nodes])
@@ -238,6 +285,38 @@ def test_benchmark_rejects_zero_eval_points(tmp_path, capsys):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("flag, value, column", [
+    (None, None, None), ("--gamma", "0.3", "gamma"), ("--nz", "14", "n_z"), ("--nw", "6", "n_w"),
+])
+def test_benchmark_reports_flags_over_config_file(tmp_path, flag, value, column):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# the model parameters\ngamma = 0.4\n\nnz = 12  # local fit size\nnw=8\n")
+    out = tmp_path / "b"
+    args = ["benchmark", "--n", 100, "--s", 30, "--seeds", 2, "--degrees=1,-1,1", "--no-gamma-sweep",
+            "--config", cfg, "--out", out]
+    assert run(args + ([flag, value] if flag else [])) == 0
+    want = {"gamma": "0.4", "n_z": "12", "n_w": "8"}
+    if flag:
+        want[column] = value
+    header, *table = read_rows(out / "benchmark.csv")
+    assert [[r[header.index(c)] for c in want] for r in table] == [list(want.values())] * 6
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[0] == (f"f1  (gamma={want['gamma']}, n_z={want['n_z']}, n_w={want['n_w']}, "
+                        "s=30, seeds=2; median RRMSE)")
+    assert [line.split()[0] for line in lines[2:] if line] == ["1", "-1"]  # one line per distinct L
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", 0], "--seeds must be at least 1"),
+    (["--n", "100,5"], "every --n must be >= n_z=15, got '100,5'"),
+])
+def test_benchmark_grid_usage_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "b"
+    assert run(["benchmark", "--s", 30, "--no-gamma-sweep", *args, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_benchmark_sweep_and_summary_follow_the_grid(tmp_path):
