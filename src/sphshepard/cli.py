@@ -50,7 +50,7 @@ def _read_config(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"expected key=value, got {raw!r}", line=lineno)
+            raise DataError(f"expected key=value, got {raw!r}", lineno, path)
         key, value = (t.strip() for t in line.split("=", 1))
         out[key] = value
     return out
@@ -195,10 +195,9 @@ def _summary(rows) -> str:
 
 def cmd_benchmark(args) -> int:
     base = _resolve_config(args)
-    degrees = _int_list(args.degrees)
-    if not degrees:
+    configs = {L: replace(base, degree=L) for L in _int_list(args.degrees)}  # one per distinct L
+    if not configs:
         raise ConfigError("--degrees must list at least one L")
-    configs = {L: replace(base, degree=L) for L in degrees}
     seeds = list(range(args.seed, args.seed + args.seeds))
     if not seeds:
         raise ConfigError("--seeds must be at least 1")
@@ -206,7 +205,7 @@ def cmd_benchmark(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = [_bench_row(case, configs[L]) for case in cases for L in degrees]
+    rows = [_bench_row(case, config) for case in cases for config in configs.values()]
     table_path = outdir / "benchmark.csv"
     datasets.write_table(table_path, list(rows[0]), [list(r.values()) for r in rows])
     summary = _summary(rows)
@@ -218,8 +217,8 @@ def cmd_benchmark(args) -> int:
         case = min(cases, key=lambda c: len(c[3]))  # the first case with the smallest n
         # The extreme shape-parameter corners are too ill-conditioned for the
         # strict residual contract; the sweep reports their best-effort accuracy.
-        sweep = [_bench_row(case, replace(configs[L], kernel=InverseMultiquadric(gamma), strict=False))
-                 for L in degrees for gamma in GAMMA_GRID]
+        sweep = [_bench_row(case, replace(config, kernel=InverseMultiquadric(gamma), strict=False))
+                 for config in configs.values() for gamma in GAMMA_GRID]
         cols = ["function", "n", "L", "seed", "gamma", "rrmse"]
         datasets.write_table(sweep_path, cols, [[r[c] for c in cols] for r in sweep])
         print(f"wrote shape-parameter sweep to {sweep_path}")

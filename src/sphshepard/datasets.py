@@ -131,7 +131,7 @@ def load_csv(path, geo: bool = False) -> PointSet:
     one of its fields is not a number; non-unit points are normalized.  A
     row whose point has no finite, positive length (all coordinates zero or
     tiny, one too large to square, inf or NaN) or whose value is not finite
-    raises DataError naming its line.
+    raises DataError naming the file and the line.
     """
     coord_cols = 2 if geo else 3
     widths, header_allowed = (coord_cols, coord_cols + 1), True
@@ -150,14 +150,14 @@ def load_csv(path, geo: bool = False) -> PointSet:
         header_allowed = False
         if len(row) not in widths:
             expected = " or ".join(map(str, widths))
-            raise DataError(f"expected {expected} fields, got {len(row)}", line=lineno)
+            raise DataError(f"expected {expected} fields, got {len(row)}", lineno, path)
         widths = (len(row),)
         if error:
-            raise DataError(str(error), line=lineno)
+            raise DataError(str(error), lineno, path)
         if geo:
             if not (abs(nums[0]) <= 90.0 and math.isfinite(nums[1])):
                 raise DataError(f"latitude {row[0]} is not in [-90, 90] or longitude "
-                                f"{row[1]} is not finite", line=lineno)
+                                f"{row[1]} is not finite", lineno, path)
             lat, lon = math.radians(nums[0]), math.radians(nums[1])
             pts.extend((math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
                         math.sin(lat)))
@@ -166,11 +166,11 @@ def load_csv(path, geo: bool = False) -> PointSet:
             norm = math.sqrt(x * x + y * y + z * z)  # a square too large to hold is inf
             if not 0.0 < norm < math.inf:  # a NaN fails too
                 raise DataError(f"point length {norm!r} is not finite and positive, "
-                                "so it cannot be normalized", line=lineno)
+                                "so it cannot be normalized", lineno, path)
             pts.extend((x / norm, y / norm, z / norm))
         if len(row) > coord_cols:
             if not math.isfinite(nums[-1]):
-                raise DataError(f"value {row[-1]} is not finite", line=lineno)
+                raise DataError(f"value {row[-1]} is not finite", lineno, path)
             vals.append(nums[-1])
     if not pts:
         warnings.warn(f"{path}: no data rows, returning an empty point set")
@@ -189,14 +189,14 @@ def _csv_rows(path):
         try:
             yield from reader
         except csv.Error as exc:
-            raise DataError(f"cannot read {path}: {exc}", line=reader.line_num) from None
+            raise DataError(str(exc), reader.line_num, path) from None
         except UnicodeDecodeError as exc:
             raise decode_error(path, exc) from None
 
 
 def decode_error(path, exc: UnicodeDecodeError) -> DataError:
     """The DataError for an input file that does not decode as text."""
-    return DataError(f"cannot read {path}: it is not {exc.encoding} text ({exc.reason})")
+    return DataError(f"cannot read as {exc.encoding} text ({exc.reason})", path=path)
 
 
 def write_table(path, header, rows) -> None:

@@ -8,9 +8,11 @@ class ConfigError(ValueError):
 class DataError(ValueError):
     """Input data could not be parsed or is structurally invalid."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

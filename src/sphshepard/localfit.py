@@ -15,9 +15,10 @@ With no harmonics (L = -1) Y is an empty block of U = 0 columns.
 
 Neighborhoods are solved SOLVE_CHUNK at a time: a chunk's systems are
 assembled, solved once by batched dense LU with partial pivoting and checked
-against the interpolation and moment tolerances.  On dense node sets the
-kernel block is nearly flat and its condition number can pass 1/eps, so the
-chunk's neighborhoods that miss the check climb a retry ladder.  After
+against the interpolation and moment tolerances; with two CPUs, one worker
+thread takes the odd chunks (results are byte-identical).  On dense node sets
+the kernel block is nearly flat and its condition number can pass 1/eps, so
+the chunk's neighborhoods that miss the check climb a retry ladder.  After
 refinement, each rescue rung solves the rows still failing and keeps its
 answer only where it lowers the full residual; a row a rung cannot solve
 comes back NaN, which never does:
@@ -40,6 +41,8 @@ warning per call.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,6 +66,11 @@ _REFINE_STEPS = 3
 # what an exactly singular system costs its chunk's first solve; 1024 rows
 # are no faster and peak higher.
 SOLVE_CHUNK = 256
+
+# Threads that solve chunks, the caller included; numpy's batched solvers release the
+# GIL.  Each thread adds a malloc arena holding one chunk's working set to peak RSS.
+SOLVE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
 
 # Solve-path codes, in ladder order.
 PATH_LU, PATH_REFINED, PATH_EXTENDED, PATH_LSTSQ, PATH_MISSED = range(5)
@@ -236,25 +244,35 @@ def solve_saddle_batch(kernel, degree, pts, vals, strict=True):
     n, m = vals.shape
     sol = np.empty((n, m + harmonics.sh_dim(degree)))
     path = np.full(n, PATH_LU, dtype=np.uint8)
-    for lo in range(0, n, SOLVE_CHUNK):
-        rows = slice(lo, lo + SOLVE_CHUNK)
-        f, chunk_path = vals[rows], path[rows]
-        M, rhs = _saddle_systems(kernel, degree, pts[rows], f)
-        x = _lu_solve(M, rhs)
-        fail = ~_residuals_ok(M, rhs, x, m)
-        if fail.any():
-            x[fail], chunk_path[fail] = _climb_ladder(M[fail], rhs[fail], m, x[fail])
-        sol[rows] = x
-        missed = np.nonzero(chunk_path == PATH_MISSED)[0]
-        if strict and missed.size:
-            i = missed[0]
-            resid = np.linalg.norm(M[i, :m] @ x[i] - f[i])
-            raise SolveError(
-                f"saddle-point solution misses tolerance {RTOL:g} "
-                f"(interpolation residual {resid:.3e}, "
-                f"data norm {np.linalg.norm(f[i]):.3e})",
-                node_index=lo + i,
-            )
+    def solve_rows(start, step):
+        """Solve chunks start, start + step, ...; return the first strict miss or None."""
+        for lo in range(start * SOLVE_CHUNK, n, step * SOLVE_CHUNK):
+            rows = slice(lo, lo + SOLVE_CHUNK)
+            f, chunk_path = vals[rows], path[rows]
+            M, rhs = _saddle_systems(kernel, degree, pts[rows], f)
+            x = _lu_solve(M, rhs)
+            fail = ~_residuals_ok(M, rhs, x, m)
+            if fail.any():
+                x[fail], chunk_path[fail] = _climb_ladder(M[fail], rhs[fail], m, x[fail])
+            sol[rows] = x
+            missed = np.nonzero(chunk_path == PATH_MISSED)[0]
+            if strict and missed.size:
+                i = missed[0]
+                return lo + i, np.linalg.norm(M[i, :m] @ x[i] - f[i]), np.linalg.norm(f[i])
+
+    if SOLVE_WORKERS > 1 and n > SOLVE_CHUNK:
+        with ThreadPoolExecutor(1) as pool:
+            odd = pool.submit(solve_rows, 1, 2)
+            misses = [solve_rows(0, 2), odd.result()]
+    else:
+        misses = [solve_rows(0, 1)]
+    if any(misses):
+        row, resid, data_norm = min(filter(None, misses))
+        raise SolveError(
+            f"saddle-point solution misses tolerance {RTOL:g} "
+            f"(interpolation residual {resid:.3e}, data norm {data_norm:.3e})",
+            node_index=row,
+        )
     n_missed = int(np.count_nonzero(path == PATH_MISSED))
     if n_missed:
         log.warning(
@@ -274,11 +292,12 @@ def _residuals_ok(M, rhs, sol, m):
     """
     A, Y, vals = M[:, :m, :m], M[:, :m, m:], rhs[:, :m]
     a, b = sol[:, :m], sol[:, m:]
-    pred = np.einsum("nij,nj->ni", A, a) + np.einsum("niu,nu->ni", Y, b)
+    pred = np.einsum("nij,nj->ni", A, a)
     scale = np.linalg.norm(vals, axis=1)
-    # With no harmonic block (L = -1) both maxima are 0 and the moment check holds.
-    moment = np.abs(np.einsum("niu,ni->nu", Y, a)).max(axis=1, initial=0.0)
-    y_max = np.abs(Y).max(axis=(1, 2), initial=0.0)
-    return (np.linalg.norm(pred - vals, axis=1) <= RTOL * scale) & (
-        moment <= y_max * (RTOL * np.linalg.norm(a, axis=1) + MOMENT_ABS_FLOOR * scale)
-    )
+    moment_ok = True
+    if Y.shape[-1]:  # with no harmonic block (L = -1) there is no Y b term and no moment check
+        pred += np.einsum("niu,nu->ni", Y, b)
+        moment = np.abs(np.einsum("niu,ni->nu", Y, a)).max(axis=1)
+        y_max = np.abs(Y).max(axis=(1, 2))
+        moment_ok = moment <= y_max * (RTOL * np.linalg.norm(a, axis=1) + MOMENT_ABS_FLOOR * scale)
+    return (np.linalg.norm(pred - vals, axis=1) <= RTOL * scale) & moment_ok

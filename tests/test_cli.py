@@ -149,9 +149,24 @@ def test_unreadable_input_file_is_data_error(tmp_path, capsys, where, content, l
     bad.write_bytes(content)
     files = ["--nodes", nodes, "--config", bad] if where == "config" else ["--nodes", bad]
     assert run(["interpolate", *files, "--eval", nodes, "--out", tmp_path / "o.csv"]) == 3
-    located = f"line {line}: " if line else ""  # a decode error names no line
-    assert capsys.readouterr().err.startswith(f"data error: {located}cannot read {bad}: ")
+    located = f"line {line}: " if line else "cannot read as "  # a decode error names no line
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: {located}")
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("kind, rows, message", [
+    ("nodes", "x,y,z,value\n1,0,0,1\n0,1\n", "line 3: expected 4 fields, got 2"),
+    ("eval", "1,0,0\n0,0,0\n",
+     "line 2: point length 0.0 is not finite and positive, so it cannot be normalized"),
+])
+def test_bad_row_error_names_its_file(tmp_path, capsys, kind, rows, message):
+    nodes = write_node_file(tmp_path / "n.csv")
+    bad = tmp_path / f"bad-{kind}.csv"
+    bad.write_text(rows)
+    files = {"nodes": nodes, "eval": nodes, kind: bad}
+    assert run(["interpolate", "--nodes", files["nodes"], "--eval", files["eval"],
+                "--out", tmp_path / "o.csv"]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
 
 
 def test_unsolvable_neighborhood_is_numerical_failure(tmp_path, capsys):
@@ -232,7 +247,7 @@ def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
     cfg.write_text("# comment only\n\n   \nnz = 12  # trailing comment\nnw 8\n")
     assert run(["interpolate", "--nodes", nodes, "--eval", nodes,
                 "--out", tmp_path / "o.csv", "--config", cfg]) == 3
-    assert capsys.readouterr().err == "data error: line 5: expected key=value, got 'nw 8'\n"
+    assert capsys.readouterr().err == f"data error: {cfg}: line 5: expected key=value, got 'nw 8'\n"
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
@@ -276,6 +291,18 @@ def test_benchmark_small_grid(tmp_path):
     assert (out / "summary.txt").exists()
 
 
+def test_benchmark_fits_each_distinct_degree_once(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert run(["benchmark", "--n", 100, "--s", 30, "--seeds", 2, "--degrees=2,-1,2",
+                "--out", out]) == 0
+    header, *table = read_rows(out / "benchmark.csv")
+    assert [(r[header.index("seed")], r[header.index("L")]) for r in table] == [
+        ("0", "2"), ("0", "-1"), ("1", "2"), ("1", "-1")]
+    _, *sweep = read_rows(out / "gamma_sweep.csv")
+    assert [r[2] for r in sweep] == ["2"] * 19 + ["-1"] * 19
+    assert capsys.readouterr().out.endswith(f"wrote 4 benchmark rows to {out / 'benchmark.csv'}\n")
+
+
 def test_benchmark_rejects_zero_eval_points(tmp_path, capsys):
     assert run(["benchmark", "--function", "f1", "--n", "100", "--s", 0,
                 "--seeds", 1, "--out", tmp_path / "b"]) == 2
@@ -301,7 +328,8 @@ def test_benchmark_reports_flags_over_config_file(tmp_path, flag, value, column)
     if flag:
         want[column] = value
     header, *table = read_rows(out / "benchmark.csv")
-    assert [[r[header.index(c)] for c in want] for r in table] == [list(want.values())] * 6
+    # 2 seeds x 2 distinct L: the repeated L=1 is fitted once.
+    assert [[r[header.index(c)] for c in want] for r in table] == [list(want.values())] * 4
     lines = (out / "summary.txt").read_text().splitlines()
     assert lines[0] == (f"f1  (gamma={want['gamma']}, n_z={want['n_z']}, n_w={want['n_w']}, "
                         "s=30, seeds=2; median RRMSE)")

@@ -1,5 +1,7 @@
 import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -270,6 +272,8 @@ def test_ladder_results_do_not_depend_on_chunk_size(monkeypatch, degree):
         assembled.clear()
         results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False))
         assert max(len(p) for p in assembled) <= chunk
+        # Chunks may be assembled out of order on two threads; each is a view of pts.
+        assembled.sort(key=lambda p: p.ctypes.data)
         assert np.array_equal(np.concatenate(assembled), pts)
     whole, chunked = results
     assert np.count_nonzero(whole[2] != localfit.PATH_LU) > 7
@@ -453,6 +457,63 @@ def test_strict_error_names_lowest_missing_neighborhood(monkeypatch, chunk):
     with pytest.raises(SolveError) as err:
         localfit.solve_saddle_batch(IMQ, -1, pts, vals)
     assert err.value.node_index == 3
+
+
+@pytest.mark.parametrize("chunk", [256, 7])
+@pytest.mark.parametrize("degree", [-1, 2])
+def test_two_solve_threads_give_the_one_thread_results(monkeypatch, degree, chunk):
+    pts, vals = neighborhoods(1000, 0)
+    monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
+    executors, threads = [], set()
+    thread_pool, saddle_systems = localfit.ThreadPoolExecutor, localfit._saddle_systems
+
+    def pool_spy(*args):
+        executors.append(args)
+        return thread_pool(*args)
+
+    def assembly_spy(*args):
+        threads.add(threading.get_ident())
+        return saddle_systems(*args)
+
+    monkeypatch.setattr(localfit, "ThreadPoolExecutor", pool_spy)
+    monkeypatch.setattr(localfit, "_saddle_systems", assembly_spy)
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that a shared write would show
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(localfit, "SOLVE_WORKERS", workers)
+            executors.clear()
+            threads.clear()
+            results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False))
+            # One worker runs the plain loop on the calling thread; two add one worker thread.
+            assert executors == [(1,)] * (workers - 1)
+            assert len(threads) == workers
+    finally:
+        sys.setswitchinterval(switch)
+    one, two = results
+    assert np.count_nonzero(one[2] != localfit.PATH_LU) > 7
+    for x, y in zip(one, two):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [5, 7], ids=["lowest-in-worker-chunk", "lowest-in-caller-chunk"])
+def test_threaded_misses_name_the_lowest_row_and_warn_once(monkeypatch, caplog, chunk, workers):
+    # Rows 5 and 12 reach the lstsq rung, which fails them both.  With
+    # 5-row chunks row 5 is in chunk 1 (the worker's) and row 12 in chunk 2
+    # (the caller's); with 7-row chunks row 5 is the caller's, row 12 the worker's.
+    monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
+    monkeypatch.setattr(localfit, "SOLVE_WORKERS", workers)
+    pts, vals = two_duplicate_node_batch()
+    nan_lstsq_row(monkeypatch, 0)
+    with pytest.raises(SolveError) as err:
+        localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    assert err.value.node_index == 5
+    with caplog.at_level(logging.WARNING, logger="sphshepard.localfit"):
+        path = localfit.solve_saddle_batch(IMQ, -1, pts, vals, strict=False)[2]
+    assert np.nonzero(path == localfit.PATH_MISSED)[0].tolist() == [5, 12]
+    assert [r.getMessage().split(" neighborhoods")[0] for r in caplog.records] == ["2 of 20"]
 
 
 def test_non_strict_marks_misses_and_warns_once(caplog):
