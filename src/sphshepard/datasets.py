@@ -90,8 +90,8 @@ def synthetic_geomagnetic(n: int, seed: int, noise: float = 0.0) -> PointSet:
     """
     if not 0.0 <= noise < np.inf:
         raise ConfigError(f"noise sigma must be finite and >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
     pts = random_uniform_sphere(n, seed).points
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])  # not the points' stream
     z = pts[:, 2]
     vals = 30000.0 * np.sqrt(1.0 + 3.0 * z * z)
     vals += harmonics.sh_basis(pts, 2) @ (

@@ -15,13 +15,13 @@ With no harmonics (L = -1) Y is an empty block of U = 0 columns.
 
 Neighborhoods are solved SOLVE_CHUNK at a time: a chunk's systems are
 assembled, solved once by batched dense LU with partial pivoting and checked
-against the interpolation and moment tolerances; with two CPUs, one worker
-thread takes the odd chunks (results are byte-identical).  On dense node sets
-the kernel block is nearly flat and its condition number can pass 1/eps, so
-the chunk's neighborhoods that miss the check climb a retry ladder.  After
-refinement, each rescue rung solves the rows still failing and keeps its
-answer only where it lowers the full residual; a row a rung cannot solve
-comes back NaN, which never does:
+against the interpolation and moment tolerances; with two CPUs and two
+chunks or more, one worker thread takes the odd chunks (results are
+byte-identical).  On dense node sets the kernel block is nearly flat and its
+condition number can pass 1/eps, so the chunk's neighborhoods that miss the
+check climb a retry ladder.  After refinement, each rescue rung solves the
+rows still failing and keeps its answer only where it lowers the full
+residual; a row a rung cannot solve comes back NaN, which never does:
 
     refined   keep-best iterative refinement of the LU solution; each step
               runs only on the rows the step before improved;
@@ -32,24 +32,18 @@ comes back NaN, which never does:
               per chunk, which also covers genuinely singular systems.
 
 Every neighborhood carries the code of the rung that met the tolerance
-(`lu` when the first solve did), or `missed` when none did.  A miss raises
-SolveError with the offending neighborhood's batch row, unless
-``strict=False``, which keeps the lowest-residual attempt and logs one
-warning per call.
+(`lu` when the first solve did), or `missed` when none did; a missed
+neighborhood keeps its lowest-residual attempt.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import harmonics
-from .errors import SolveError
-
-log = logging.getLogger(__name__)
 
 # Relative tolerance of every neighborhood's residual check (_residuals_ok).
 RTOL = 1e-8
@@ -228,58 +222,39 @@ def _saddle_systems(kernel, degree, pts, vals):
     return M, rhs
 
 
-def solve_saddle_batch(kernel, degree, pts, vals, strict=True):
+def solve_saddle_batch(kernel, degree, pts, vals):
     """Solve the saddle-point systems of many equally-sized neighborhoods.
 
     pts: (n, m, 3) neighborhoods, vals: (n, m) data.  Returns (a, b, path)
     with shapes (n, m), (n, U), (n,); `path` holds each neighborhood's
-    PATH_* code (uint8).  A neighborhood whose best solution still misses
-    the tolerances raises SolveError naming the lowest such batch row,
-    unless ``strict=False``, which keeps the lowest-residual attempt and
-    marks it PATH_MISSED (used by parameter sweeps that must stay finite in
-    ill-conditioned corners of the shape-parameter range).
+    PATH_* code (uint8).  A neighborhood that no rung brings within the
+    tolerances keeps its lowest-residual attempt, marked PATH_MISSED.
     """
     pts = np.asarray(pts, dtype=float)
     vals = np.asarray(vals, dtype=float)
     n, m = vals.shape
     sol = np.empty((n, m + harmonics.sh_dim(degree)))
     path = np.full(n, PATH_LU, dtype=np.uint8)
-    def solve_rows(start, step):
-        """Solve chunks start, start + step, ...; return the first strict miss or None."""
-        for lo in range(start * SOLVE_CHUNK, n, step * SOLVE_CHUNK):
+    workers = min(SOLVE_WORKERS, max(1, -(-n // SOLVE_CHUNK)))
+
+    def solve_rows(start):
+        """Solve chunks start, start + workers, start + 2 * workers, ..."""
+        for lo in range(start * SOLVE_CHUNK, n, workers * SOLVE_CHUNK):
             rows = slice(lo, lo + SOLVE_CHUNK)
-            f, chunk_path = vals[rows], path[rows]
-            M, rhs = _saddle_systems(kernel, degree, pts[rows], f)
+            chunk_path = path[rows]
+            M, rhs = _saddle_systems(kernel, degree, pts[rows], vals[rows])
             x = _lu_solve(M, rhs)
             fail = ~_residuals_ok(M, rhs, x, m)
             if fail.any():
                 x[fail], chunk_path[fail] = _climb_ladder(M[fail], rhs[fail], m, x[fail])
             sol[rows] = x
-            missed = np.nonzero(chunk_path == PATH_MISSED)[0]
-            if strict and missed.size:
-                i = missed[0]
-                return lo + i, np.linalg.norm(M[i, :m] @ x[i] - f[i]), np.linalg.norm(f[i])
 
-    if SOLVE_WORKERS > 1 and n > SOLVE_CHUNK:
-        with ThreadPoolExecutor(1) as pool:
-            odd = pool.submit(solve_rows, 1, 2)
-            misses = [solve_rows(0, 2), odd.result()]
-    else:
-        misses = [solve_rows(0, 1)]
-    if any(misses):
-        row, resid, data_norm = min(filter(None, misses))
-        raise SolveError(
-            f"saddle-point solution misses tolerance {RTOL:g} "
-            f"(interpolation residual {resid:.3e}, data norm {data_norm:.3e})",
-            node_index=row,
-        )
-    n_missed = int(np.count_nonzero(path == PATH_MISSED))
-    if n_missed:
-        log.warning(
-            "%d of %d neighborhoods miss the residual tolerance %g; "
-            "their lowest-residual attempts are kept",
-            n_missed, n, RTOL,
-        )
+    # The pool starts a thread only when a chunk is submitted to it.
+    with ThreadPoolExecutor(1) as pool:
+        others = [pool.submit(solve_rows, k) for k in range(1, workers)]
+        solve_rows(0)
+        for other in others:
+            other.result()
     return sol[:, :m], sol[:, m:], path
 
 

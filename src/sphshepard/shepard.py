@@ -20,17 +20,20 @@ with array code.
 
 from __future__ import annotations
 
+import logging
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import harmonics
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SolveError
 from .kernels import InverseMultiquadric
-from .localfit import PATH_LSTSQ, eval_local, solve_saddle_batch
+from .localfit import PATH_LSTSQ, PATH_MISSED, RTOL, eval_local, solve_saddle_batch
 from .sphere import NORM_TOL
 from .zones import ZoneIndex, build_zones, compute_delta
+
+log = logging.getLogger(__name__)
 
 # Geodesic distance at or below which an evaluation point is treated as one
 # of the nodes (the 1/g weight is singular there).
@@ -53,17 +56,13 @@ class ShepardConfig:
     non-integer n_z, n_w or L, a kernel without ``at_cos``, n_z or n_w below
     1, a degree L outside -1..harmonics.MAX_DEGREE, or n_z < (L+1)^2; the
     kernel checks its own shape parameter.
-
-    ``strict=False`` keeps the best-effort solution when a local system
-    misses localfit.RTOL (instead of raising); the fit marks such
-    neighborhoods `missed` in the model's `solve_path` and logs a warning.
     """
 
     n_z: int = 15
     n_w: int = 10
     kernel: object = InverseMultiquadric(0.5)
     degree: int = -1
-    strict: bool = True
+    strict: bool = True  # False: `fit` keeps, and does not raise on, local misses
 
     def __post_init__(self):
         for name in ("n_z", "n_w", "degree"):
@@ -112,11 +111,13 @@ class ShepardModel:
 
 
 def _floats(x, what: str) -> np.ndarray:
-    """`x` as a float array; DataError if numpy cannot read it as numbers."""
+    """`x` as a float array; DataError if numpy cannot read it as real numbers."""
     try:
-        return np.asarray(x, dtype=float)
+        if not np.iscomplexobj(x):
+            return np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what}s are not numbers: {exc}") from None
+    raise DataError(f"{what}s are complex, not real numbers")
 
 
 def _unit_points(points, what: str) -> np.ndarray:
@@ -155,8 +156,11 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
 
     nodes: finite, distinct unit vectors (3,) or (n, 3); values: n finite
     numbers.  Other input raises DataError; so do two nodes with exactly
-    equal coordinates, for every n_z.  The model keeps a copy of the nodes,
-    and its arrays, the index's included, are read-only.
+    equal coordinates, for every n_z.  A local system that misses
+    localfit.RTOL raises SolveError naming the lowest such node; under
+    ``strict=False`` its best attempt is kept, marked `missed`, and the fit
+    logs one warning.  The model keeps a copy of the nodes, and its arrays,
+    the index's included, are read-only.
     """
     nodes = _unit_points(nodes, "node")
     values = _floats(values, "value").reshape(-1)
@@ -174,9 +178,17 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     nodes = index.points
     neighbor_ids = index.nearest_m(nodes, config.n_z).ids
     centers = np.take(nodes, neighbor_ids, axis=0)
-    a, b, path = solve_saddle_batch(
-        config.kernel, config.degree, centers, values[neighbor_ids], strict=config.strict
-    )
+    a, b, path = solve_saddle_batch(config.kernel, config.degree, centers, values[neighbor_ids])
+    missed = np.flatnonzero(path == PATH_MISSED)
+    if missed.size and config.strict:
+        j, f = int(missed[0]), values[neighbor_ids[missed[0]]]
+        z = eval_local(config.kernel, config.degree, centers[j], a[j], b[j], centers[j])
+        raise SolveError(f"saddle-point solution misses tolerance {RTOL:g} (interpolation residual "
+                         f"{np.linalg.norm(z - f):.3e}, data norm {np.linalg.norm(f):.3e})",
+                         node_index=j)
+    if missed.size:
+        log.warning("%d of %d neighborhoods miss the residual tolerance %g; their "
+                    "lowest-residual attempts are kept", missed.size, n, RTOL)
     for arr in (neighbor_ids, a, b, path):
         arr.flags.writeable = False
     return ShepardModel(

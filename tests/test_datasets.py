@@ -13,7 +13,7 @@ from sphshepard import (
     synthetic_geomagnetic,
     write_csv,
 )
-from sphshepard import datasets
+from sphshepard import datasets, harmonics
 from sphshepard.datasets import PointSet
 
 
@@ -277,6 +277,25 @@ def test_geomagnetic_shape_and_determinism():
     assert np.max(np.abs(np.sum(a.points**2, axis=1) - 1.0)) <= 1e-12
     # field magnitudes stay in a plausible main-field band
     assert np.all(a.values > 10000.0) and np.all(a.values < 80000.0)
+
+
+def test_geomagnetic_field_is_drawn_apart_from_the_points(monkeypatch):
+    # Capture the nine harmonic coefficients where the basis meets them.
+    drawn = []
+
+    class Basis:
+        def __matmul__(self, coeffs):
+            drawn.append(coeffs)
+            return 0.0
+
+    monkeypatch.setattr(harmonics, "sh_basis", lambda pts, degree: Basis())
+    synthetic_geomagnetic(150, 5)
+    # The points are the first draws of default_rng(seed); their first three
+    # rows must not reappear as the coefficients.
+    point_draws = np.random.default_rng(5).standard_normal((3, 3)).ravel()
+    scaled = point_draws * np.repeat([1500.0, 900.0, 500.0], [1, 3, 5])
+    assert len(drawn) == 1 and drawn[0].shape == (9,)
+    assert not np.any(drawn[0] == scaled)
 
 
 def test_geomagnetic_rejects_negative_or_non_finite_noise():

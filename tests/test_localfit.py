@@ -1,16 +1,20 @@
 import logging
 import math
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from sphshepard import localfit
+from sphshepard import datasets, localfit
 from sphshepard import (
     InverseMultiquadric,
+    ShepardConfig,
     SolveError,
+    fit,
     normalize,
+    random_uniform_sphere,
     sh_basis,
     sh_dim,
 )
@@ -119,15 +123,14 @@ def test_solution_unique_under_shuffled_assembly():
     assert np.max(np.abs(z1(pts) - z2(pts))) <= 1e-10
 
 
-def test_inconsistent_duplicate_nodes_fail_with_context():
+def test_inconsistent_duplicate_nodes_are_missed():
     nodes = rand_points(10, 14)
     nodes[1] = nodes[0]
     values = np.zeros(10)
     values[0], values[1] = 0.0, 1.0  # same node, contradictory data
-    with pytest.raises(SolveError) as err:
-        fit_one(nodes, values, -1)
-    assert err.value.node_index == 0
-    assert "neighborhood of node 0" in str(err.value)
+    _, a, b, path = fit_one(nodes, values, -1)
+    assert path == localfit.PATH_MISSED
+    assert np.isfinite(a).all()
 
 
 def test_consistent_duplicate_nodes_use_fallback():
@@ -270,7 +273,7 @@ def test_ladder_results_do_not_depend_on_chunk_size(monkeypatch, degree):
     for chunk in (localfit.SOLVE_CHUNK, 7):
         monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
         assembled.clear()
-        results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False))
+        results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals))
         assert max(len(p) for p in assembled) <= chunk
         # Chunks may be assembled out of order on two threads; each is a view of pts.
         assembled.sort(key=lambda p: p.ctypes.data)
@@ -284,7 +287,7 @@ def test_ladder_results_do_not_depend_on_chunk_size(monkeypatch, degree):
 @pytest.mark.parametrize("degree", [-1, 2])
 def test_rows_passing_first_check_keep_plain_lu_solution(degree):
     pts, vals = neighborhoods(1000, 0)
-    a, b, path = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
+    a, b, path = localfit.solve_saddle_batch(FLAT, degree, pts, vals)
     M, rhs = localfit._saddle_systems(FLAT, degree, pts, vals)
     plain = np.linalg.solve(M, rhs[..., None])[..., 0]
     first_ok = localfit._residuals_ok(M, rhs, plain, 15)
@@ -313,7 +316,7 @@ def _refine_keep_best_all_rows(M, rhs, sol):
 @pytest.mark.parametrize("degree", [-1, 2])
 def test_refinement_equals_all_rows_oracle(degree):
     pts, vals = neighborhoods(1000, 0)
-    _, _, path = localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False)
+    _, _, path = localfit.solve_saddle_batch(FLAT, degree, pts, vals)
     M, rhs = localfit._saddle_systems(FLAT, degree, pts, vals)
     # Every row that escalated, and the rows among them that reach every rung.
     for rows in (path != localfit.PATH_LU, path >= localfit.PATH_LSTSQ):
@@ -415,29 +418,58 @@ def two_duplicate_node_batch():
     return pts, vals
 
 
-def test_failed_lstsq_row_raises_solve_error(monkeypatch):
+def test_failed_lstsq_row_is_missed(monkeypatch):
     # Rows 5 and 12 alone reach the lstsq rung, in one call, which rescues both.
     pts, vals = two_duplicate_node_batch()
-    path = localfit.solve_saddle_batch(IMQ, -1, pts, vals)[2]
-    assert np.nonzero(path)[0].tolist() == [5, 12]
-    assert (path[[5, 12]] == localfit.PATH_LSTSQ).all()
-    nan_lstsq_row(monkeypatch, 1)
-    with pytest.raises(SolveError) as err:
-        localfit.solve_saddle_batch(IMQ, -1, pts, vals)
-    assert err.value.node_index == 12
-
-
-def test_failed_lstsq_row_is_missed_when_not_strict(monkeypatch, caplog):
-    pts, vals = two_duplicate_node_batch()
     want = localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    assert np.nonzero(want[2])[0].tolist() == [5, 12]
+    assert (want[2][[5, 12]] == localfit.PATH_LSTSQ).all()
     nan_lstsq_row(monkeypatch, 1)
-    with caplog.at_level(logging.WARNING, logger="sphshepard.localfit"):
-        a, b, path = localfit.solve_saddle_batch(IMQ, -1, pts, vals, strict=False)
+    a, b, path = localfit.solve_saddle_batch(IMQ, -1, pts, vals)
     assert path[5] == localfit.PATH_LSTSQ and path[12] == localfit.PATH_MISSED
     assert np.isfinite(a).all()
     keep = np.arange(20) != 12
     assert np.array_equal(a[keep], want[0][keep])
-    assert [r.getMessage().split(" neighborhoods")[0] for r in caplog.records] == ["1 of 20"]
+
+
+def equatorial_set():
+    """A hundred nodes evenly spaced on the equator and a hundred random ones
+    above 48 degrees of latitude: each equatorial node's fifteen nearest lie
+    on the equator, so its L=1 system is exactly singular and takes lstsq."""
+    lon = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    equator = np.stack([np.cos(lon), np.sin(lon), np.zeros(100)], axis=1)
+    caps = rand_points(400, 35)
+    nodes = np.vstack([equator, caps[np.abs(caps[:, 2]) > 0.75][:100]])
+    return nodes, np.exp(nodes[:, 0]) + np.sin(2.0 * nodes[:, 1]) + nodes[:, 2]
+
+
+def test_failed_lstsq_row_raises_solve_error(monkeypatch):
+    # Under 256 nodes, all the local systems are solved in one chunk, so the
+    # lstsq rung runs once, on every equatorial neighborhood, and rescues each.
+    nodes, values = equatorial_set()
+    config = ShepardConfig(degree=1)
+    rescued = np.flatnonzero(fit(nodes, values, config).solve_path == localfit.PATH_LSTSQ)
+    assert rescued.size == 100
+    nan_lstsq_row(monkeypatch, 37)
+    with pytest.raises(SolveError) as err:
+        fit(nodes, values, config)
+    assert err.value.node_index == rescued[37]
+
+
+def test_failed_lstsq_row_is_missed_when_not_strict(monkeypatch, caplog):
+    nodes, values = equatorial_set()
+    config = ShepardConfig(degree=1, strict=False)
+    want = fit(nodes, values, config)
+    j = np.flatnonzero(want.solve_path == localfit.PATH_LSTSQ)[37]
+    nan_lstsq_row(monkeypatch, 37)
+    with caplog.at_level(logging.WARNING, logger="sphshepard.shepard"):
+        model = fit(nodes, values, config)
+    assert np.flatnonzero(model.solve_path == localfit.PATH_MISSED).tolist() == [j]
+    assert np.isfinite(model.coeff_a).all()
+    keep = np.arange(200) != j
+    assert np.array_equal(model.coeff_a[keep], want.coeff_a[keep])
+    assert np.array_equal(model.coeff_b[keep], want.coeff_b[keep])
+    assert [r.getMessage().split(" neighborhoods")[0] for r in caplog.records] == ["1 of 200"]
 
 
 def contradictory_batch():
@@ -450,32 +482,66 @@ def contradictory_batch():
     return pts, vals
 
 
+def test_solver_marks_misses_and_neither_raises_nor_logs(caplog):
+    pts, vals = contradictory_batch()
+    with caplog.at_level(logging.DEBUG):
+        a, b, path = localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    assert np.nonzero(path == localfit.PATH_MISSED)[0].tolist() == [3, 5]
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [5, 7])
+def test_threaded_solve_marks_every_miss(monkeypatch, chunk, workers):
+    # Rows 5 and 12 reach the lstsq rung, which fails them both.  With
+    # 5-row chunks row 5 is in chunk 1 (the worker's) and row 12 in chunk 2
+    # (the caller's); with 7-row chunks row 5 is the caller's, row 12 the worker's.
+    monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
+    monkeypatch.setattr(localfit, "SOLVE_WORKERS", workers)
+    pts, vals = two_duplicate_node_batch()
+    nan_lstsq_row(monkeypatch, 0)
+    path = localfit.solve_saddle_batch(IMQ, -1, pts, vals)[2]
+    assert np.nonzero(path == localfit.PATH_MISSED)[0].tolist() == [5, 12]
+
+
+def flat_limit_set():
+    """f1 at 1000 random nodes (seed 0); with gamma = 0.05 and L = -1 about a
+    tenth of the local systems miss the tolerance, the lowest at node 4."""
+    nodes = random_uniform_sphere(1000, 0).points
+    return nodes, datasets.test_function("f1", nodes)
+
+
 @pytest.mark.parametrize("chunk", [256, 1])
 def test_strict_error_names_lowest_missing_neighborhood(monkeypatch, chunk):
     monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
-    pts, vals = contradictory_batch()
+    nodes, values = flat_limit_set()
+    model = fit(nodes, values, ShepardConfig(kernel=FLAT, strict=False))
+    j = np.flatnonzero(model.solve_path == localfit.PATH_MISSED)[0]
     with pytest.raises(SolveError) as err:
-        localfit.solve_saddle_batch(IMQ, -1, pts, vals)
-    assert err.value.node_index == 3
+        fit(nodes, values, ShepardConfig(kernel=FLAT))
+    assert err.value.node_index == j == 4
+    # The residual is the local fit's own, at its nodes.
+    centers, f = nodes[model.neighbor_ids[j]], values[model.neighbor_ids[j]]
+    z = localfit.eval_local(FLAT, -1, centers, model.coeff_a[j], model.coeff_b[j], centers)
+    assert str(err.value) == (
+        "neighborhood of node 4: saddle-point solution misses tolerance 1e-08 "
+        f"(interpolation residual {np.linalg.norm(z - f):.3e}, data norm {np.linalg.norm(f):.3e})"
+    )
 
 
-@pytest.mark.parametrize("chunk", [256, 7])
+@pytest.mark.parametrize("chunk", [256, 7, 1024])
 @pytest.mark.parametrize("degree", [-1, 2])
 def test_two_solve_threads_give_the_one_thread_results(monkeypatch, degree, chunk):
     pts, vals = neighborhoods(1000, 0)
     monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
-    executors, threads = [], set()
-    thread_pool, saddle_systems = localfit.ThreadPoolExecutor, localfit._saddle_systems
-
-    def pool_spy(*args):
-        executors.append(args)
-        return thread_pool(*args)
+    threads = set()
+    saddle_systems = localfit._saddle_systems
 
     def assembly_spy(*args):
         threads.add(threading.get_ident())
         return saddle_systems(*args)
 
-    monkeypatch.setattr(localfit, "ThreadPoolExecutor", pool_spy)
     monkeypatch.setattr(localfit, "_saddle_systems", assembly_spy)
     results = []
     switch = sys.getswitchinterval()
@@ -483,12 +549,10 @@ def test_two_solve_threads_give_the_one_thread_results(monkeypatch, degree, chun
     try:
         for workers in (1, 2):
             monkeypatch.setattr(localfit, "SOLVE_WORKERS", workers)
-            executors.clear()
             threads.clear()
-            results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals, strict=False))
-            # One worker runs the plain loop on the calling thread; two add one worker thread.
-            assert executors == [(1,)] * (workers - 1)
-            assert len(threads) == workers
+            results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals))
+            # The caller and one worker thread, but no worker for one chunk.
+            assert len(threads) == min(workers, math.ceil(len(pts) / chunk))
     finally:
         sys.setswitchinterval(switch)
     one, two = results
@@ -497,29 +561,39 @@ def test_two_solve_threads_give_the_one_thread_results(monkeypatch, degree, chun
         assert x.tobytes() == y.tobytes()
 
 
+def test_solve_threads_follow_the_cpus(monkeypatch):
+    # With the real SOLVE_WORKERS: on one CPU (as under `taskset -c 0`) the
+    # caller solves every chunk alone; on two or more, it and one worker do.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pts, vals = neighborhoods(300, 0)
+    monkeypatch.setattr(localfit, "SOLVE_CHUNK", 7)
+    threads, saddle_systems = set(), localfit._saddle_systems
+
+    def assembly_spy(*args):
+        threads.add(threading.get_ident())
+        return saddle_systems(*args)
+
+    monkeypatch.setattr(localfit, "_saddle_systems", assembly_spy)
+    localfit.solve_saddle_batch(IMQ, -1, pts, vals)
+    assert len(threads) == min(2, cpus)
+    assert threading.get_ident() in threads
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("chunk", [5, 7], ids=["lowest-in-worker-chunk", "lowest-in-caller-chunk"])
+@pytest.mark.parametrize("chunk", [4, 5], ids=["lowest-in-worker-chunk", "lowest-in-caller-chunk"])
 def test_threaded_misses_name_the_lowest_row_and_warn_once(monkeypatch, caplog, chunk, workers):
-    # Rows 5 and 12 reach the lstsq rung, which fails them both.  With
-    # 5-row chunks row 5 is in chunk 1 (the worker's) and row 12 in chunk 2
-    # (the caller's); with 7-row chunks row 5 is the caller's, row 12 the worker's.
+    # The lowest miss is node 4: with 4-row chunks it is in chunk 1 (the
+    # worker's), with 5-row chunks in chunk 0 (the caller's).
     monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
     monkeypatch.setattr(localfit, "SOLVE_WORKERS", workers)
-    pts, vals = two_duplicate_node_batch()
-    nan_lstsq_row(monkeypatch, 0)
+    nodes, values = flat_limit_set()
+    with caplog.at_level(logging.WARNING):
+        model = fit(nodes, values, ShepardConfig(kernel=FLAT, strict=False))
+    missed = np.flatnonzero(model.solve_path == localfit.PATH_MISSED)
+    assert missed[0] == 4
+    assert [(r.name, r.getMessage().split(" neighborhoods")[0]) for r in caplog.records] == [
+        ("sphshepard.shepard", f"{missed.size} of 1000")
+    ]
     with pytest.raises(SolveError) as err:
-        localfit.solve_saddle_batch(IMQ, -1, pts, vals)
-    assert err.value.node_index == 5
-    with caplog.at_level(logging.WARNING, logger="sphshepard.localfit"):
-        path = localfit.solve_saddle_batch(IMQ, -1, pts, vals, strict=False)[2]
-    assert np.nonzero(path == localfit.PATH_MISSED)[0].tolist() == [5, 12]
-    assert [r.getMessage().split(" neighborhoods")[0] for r in caplog.records] == ["2 of 20"]
-
-
-def test_non_strict_marks_misses_and_warns_once(caplog):
-    pts, vals = contradictory_batch()
-    with caplog.at_level(logging.WARNING, logger="sphshepard.localfit"):
-        a, b, path = localfit.solve_saddle_batch(IMQ, -1, pts, vals, strict=False)
-    assert np.isfinite(a).all() and np.isfinite(b).all()
-    assert np.nonzero(path == localfit.PATH_MISSED)[0].tolist() == [3, 5]
-    assert [r.getMessage().split(" neighborhoods")[0] for r in caplog.records] == ["2 of 8"]
+        fit(nodes, values, ShepardConfig(kernel=FLAT))
+    assert err.value.node_index == missed[0]

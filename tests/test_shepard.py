@@ -496,7 +496,7 @@ def malformed_points(draw, points, duplicates=False):
     """`points` (p, 3), with p >= 2, carrying one defect."""
     pts = points.copy()
     i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, 2))
-    kinds = ["columns", "rank", "non-finite", "non-unit", "non-numeric", "ragged"]
+    kinds = ["columns", "rank", "non-finite", "non-unit", "non-numeric", "ragged", "complex"]
     kind = draw(st.sampled_from(kinds + ["duplicate"] * duplicates))
     if kind == "columns":
         return draw(st.sampled_from([pts[:, :0], pts[:, :1], pts[:, :2], np.hstack([pts, pts[:, :1]])]))
@@ -511,6 +511,8 @@ def malformed_points(draw, points, duplicates=False):
     if kind == "duplicate":
         pts[i] = pts[(i + draw(st.integers(1, len(pts) - 1))) % len(pts)]
         return pts
+    if kind == "complex":
+        return pts.astype(complex)
     rows = pts.tolist()
     if kind == "non-numeric":
         rows[i][j] = draw(NOT_A_NUMBER)
@@ -523,9 +525,11 @@ def malformed_points(draw, points, duplicates=False):
 def malformed_values(draw):
     values = GOOD_VALUES.copy()
     i = draw(st.integers(0, len(values) - 1))
-    kind = draw(st.sampled_from(["length", "non-finite", "non-numeric"]))
+    kind = draw(st.sampled_from(["length", "non-finite", "non-numeric", "complex"]))
     if kind == "length":
         return values[:i] if draw(st.booleans()) else np.append(values, 1.0)
+    if kind == "complex":
+        return values.astype(complex)
     if kind == "non-finite":
         values[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         return values
