@@ -13,9 +13,9 @@ anything every local interpolant reproduces exactly.
 
 Both the fitting and the evaluation stage find their neighborhoods through
 one latitude-zone index, built by `fit` and kept on the model, with one
-batched search per stage (cap radii escalate per point until the required
-neighbor count is reached).  Evaluation blends EVAL_CHUNK points at a time
-with array code.
+batched search per stage (each round widens the cap of every point still
+short of the required neighbor count).  Evaluation blends EVAL_CHUNK
+points at a time with array code.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def evaluate(model: ShepardModel, eval_points) -> np.ndarray:
         local = eval_local(
             model.config.kernel,
             model.config.degree,
-            np.take(model.nodes, model.neighbor_ids[ids], axis=0),
+            model.nodes.take(model.neighbor_ids.take(ids, axis=0), axis=0),
             model.coeff_a[ids],
             model.coeff_b[ids],
             x[:, None, :],

@@ -21,12 +21,12 @@ Neighborhood radii come from
     delta = arccos(1 - 2*sqrt(k)*m/n),    k = 1, 2, ...
 
 which sizes a cap holding about sqrt(k)*m of n uniformly scattered points.
-``ZoneIndex.nearest_m`` escalates k until the cap holds at least m points,
-then keeps the m nearest.  It starts at k = 2, the largest k whose radius
-stays within one strip width for m = n_w = 10 on an index built for
-n_z = 15, so most centers are done in one round.  The argument of arccos
-is clamped to [-1, 1], so the radius saturates at pi (the whole sphere)
-and the escalation always terminates.
+``ZoneIndex.nearest_m`` searches its pending centers in rounds of k = 2, 8,
+32, ..., until every cap holds at least m points, and keeps the m nearest.
+k = 2 is the largest k whose radius stays within one strip width for
+m = n_w = 10 on an index built for n_z = 15, so most centers are done in
+the first round.  The argument of arccos is clamped to [-1, 1], so the
+radius saturates at pi (the whole sphere) and the rounds always end.
 
 Longitude windows.  A cap of radius r around a center at colatitude theta
 that holds no pole (sin r < sin theta, r < pi/2) reaches only the
@@ -37,12 +37,12 @@ every key carries RING_STRIDE times its run number, so one
 ``np.searchsorted`` gives the window of any center in any strip as one
 slice of the doubled rings, also where the window wraps past the seam.
 Whole rings are taken by position, not by key, so the seam points at
-phi = 0 and phi = 2*pi are both in them.  ``nearest_m`` searches
-SEARCH_CHUNK centers at a time: it gathers the candidates of all windows of
-the pending centers, computes their exact distance, the clamped arccos of
-``geodesic_distance``, the arithmetic a brute-force scan uses, keeps those
-<= radius and orders them by (distance, id); centers whose cap still holds
-fewer than m points are queried again at the next k.
+phi = 0 and phi = 2*pi are both in them.  Each round of ``nearest_m``
+takes the pending centers SEARCH_CHUNK at a time: it gathers the candidates
+of all windows of a chunk, computes their exact distance, the clamped arccos
+of ``geodesic_distance``, the arithmetic a brute-force scan uses, keeps
+those <= radius and orders them by (distance, id); the centers of all chunks
+whose cap holds fewer than m points go on together to the next round.
 
 The windows drop no point the exact test keeps.  A kept point's computed
 dot product with the center is at least cos(r) less a few 1e-16 (the
@@ -145,8 +145,9 @@ class ZoneIndex:
         """The m nearest points to each center, via escalating cap queries.
 
         `centers` is one point, shape (3,), giving 1-D ids and distances, or
-        a stack of shape (p, 3), giving (p, m) arrays.  Radii escalate as
-        compute_delta(n, m, k), n being the number of indexed points.
+        a stack of shape (p, 3), giving (p, m) arrays.  Each round searches
+        every pending center at radius compute_delta(n, m, k), k = 2, 8, 32, ...,
+        for n indexed points; DataError names the batch's lowest center short at pi.
         """
         n_pts = self.points.shape[0]
         if m < 1 or m > n_pts:
@@ -157,27 +158,24 @@ class ZoneIndex:
         ids = np.empty((centers.shape[0], m), dtype=self.ring_ids.dtype)
         dists = np.empty((centers.shape[0], m))
         # Centers in z order: a chunk's windows then share strips.
-        by_z = centers[:, 2].argsort(kind="stable")
-        for lo in range(0, centers.shape[0], SEARCH_CHUNK):
-            pending = by_z[lo : lo + SEARCH_CHUNK]
-            k = 2
-            while pending.size:
-                radius = compute_delta(n_pts, m, k)
-                pending = self._fill_nearest(centers, pending, radius, m, ids, dists)
-                if pending.size and radius >= np.pi:
-                    # The whole-sphere cap holds every finite point.
-                    raise DataError(f"center {int(pending.min())} has fewer than {m} points "
-                                    "within pi: it or an indexed point is not finite")
-                k += 1
+        pending = centers[:, 2].argsort(kind="stable")
+        k = 2
+        while pending.size:
+            radius = compute_delta(n_pts, m, k)
+            pending = np.concatenate([self._fill_nearest(centers, pending[lo : lo + SEARCH_CHUNK],
+                                                         radius, m, ids, dists)
+                                      for lo in range(0, pending.size, SEARCH_CHUNK)])
+            if pending.size and radius >= np.pi:
+                # The whole-sphere cap holds every finite point.
+                raise DataError(f"center {int(pending.min())} has fewer than {m} points "
+                                "within pi: it or an indexed point is not finite")
+            k *= 4
         if single:
             return NeighborSet(ids[0], dists[0])
         return NeighborSet(ids, dists)
 
     def _fill_nearest(self, centers, pending, radius, m, ids, dists) -> np.ndarray:
-        """Fill the rows `pending` of ids/dists whose cap of `radius` holds m points.
-
-        Returns the rows left pending.
-        """
+        """Fill the ids/dists rows `pending` whose `radius` cap holds m points; return the rest."""
         row, cand, d = self._within(centers[pending], radius)
         counts = np.bincount(row, minlength=pending.size)
         full = counts >= m

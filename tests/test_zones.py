@@ -192,12 +192,29 @@ def test_nearest_matches_brute_force():
         assert np.array_equal(found.ids, brute_force_nearest(pts, center, 15))
 
 
-def test_nearest_escalates_on_clustered_points():
+def count_fill_calls(monkeypatch):
+    """Record the number of centers of every `_fill_nearest` call, in call order."""
+    calls = []
+    fill = zones.ZoneIndex._fill_nearest
+
+    def spy(self, centers, pending, *args):
+        calls.append(pending.size)
+        return fill(self, centers, pending, *args)
+
+    monkeypatch.setattr(zones.ZoneIndex, "_fill_nearest", spy)
+    return calls
+
+
+def test_nearest_escalates_on_clustered_points(monkeypatch):
     # All points inside a tiny cap around +z, query from -z: the first radii
-    # find nothing and the escalation must keep growing the cap.
+    # find nothing and the escalation must keep growing the cap, to about pi,
+    # in a few rounds.
     rng = np.random.default_rng(6)
     pts = normalize(np.array([0.0, 0.0, 1.0]) + 0.01 * rng.normal(size=(40, 3)))
-    found = build_zones(pts, compute_delta(40, 5, 1)).nearest_m(np.array([0.0, 0.0, -1.0]), 5)
+    ix = build_zones(pts, compute_delta(40, 5, 1))
+    calls = count_fill_calls(monkeypatch)
+    found = ix.nearest_m(np.array([0.0, 0.0, -1.0]), 5)
+    assert 1 < len(calls) <= 5
     assert np.array_equal(found.ids, brute_force_nearest(pts, np.array([0.0, 0.0, -1.0]), 5))
 
 
@@ -217,6 +234,34 @@ def test_nearest_names_a_center_with_nan_z():
     ix = build_zones(rand_points(200, 32), compute_delta(200, 15, 1))
     with pytest.raises(DataError, match="center 0 has fewer than 5 points"):
         ix.nearest_m([0.0, 0.0, np.nan], 5)
+
+
+def test_nan_centers_in_two_chunks_name_the_lowest_of_the_batch(monkeypatch):
+    # Every chunk of a round is searched before the error, so it names the
+    # lowest failing center of the batch, not of the first chunk that fails.
+    monkeypatch.setattr(zones, "SEARCH_CHUNK", 3)
+    ix = build_zones(rand_points(200, 35), compute_delta(200, 15, 1))
+    centers = normalize(np.column_stack([rand_points(7, 36)[:, :2], np.linspace(-0.5, 0.5, 7)]))
+    centers[1] = [np.nan, 0.0, 0.9]   # last in z order, so in the last chunk
+    centers[5] = [np.nan, 0.0, -0.9]  # first in z order, so in the first chunk
+    chunk_of = np.argsort(np.argsort(centers[:, 2], kind="stable")) // 3
+    assert chunk_of[5] == 0 and chunk_of[1] == 2
+    with pytest.raises(DataError, match="center 1 has fewer than 5 points"):
+        ix.nearest_m(centers, 5)
+
+
+def test_batch_search_takes_few_rounds(monkeypatch):
+    nodes = rand_points(16000, 37)
+    centers = rand_points(1000, 38)
+    ix = build_zones(nodes, compute_delta(16000, 15, 1))
+    calls = count_fill_calls(monkeypatch)
+    found = ix.nearest_m(centers, 10)
+    # One call per chunk in the first round; the few centers left over from
+    # every chunk are then searched together, at a radius growing fast.
+    first = math.ceil(1000 / zones.SEARCH_CHUNK)
+    assert sum(calls[:first]) == 1000 and len(calls) <= first + 4
+    ids, dists = brute_force_nearest_batch(nodes, centers[::20], 10)
+    assert np.array_equal(found.ids[::20], ids) and np.array_equal(found.distances[::20], dists)
 
 
 def test_build_rejects_a_nan_z_coordinate():
