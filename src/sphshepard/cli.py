@@ -39,9 +39,9 @@ GAMMA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
 
 
 def _read_config(path) -> dict:
-    """Parse a simple key=value config file (blank lines and # comments ok)."""
+    """Parse a simple UTF-8 key=value config file (blank lines and # comments ok)."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     except UnicodeDecodeError as exc:
         raise datasets.decode_error(path, exc) from None
     out = {}
@@ -84,6 +84,11 @@ def _resolve_config(args) -> shepard.ShepardConfig:
 
 
 def cmd_generate(args) -> int:
+    synth = args.kind == "geomagnetic-synth"
+    if args.noise and not synth:
+        raise ConfigError(f"--noise applies only to geomagnetic-synth, not to {args.kind}")
+    if args.function is not None and synth:
+        raise ConfigError("--function would replace the geomagnetic-synth field; leave it out")
     if args.kind == "spiral":
         data = datasets.spiral_points(args.n)
     elif args.kind == "random":
@@ -137,6 +142,8 @@ def _bench_cases(args, n_z, seeds):
     seed, scored at --s spiral points.
     """
     if args.nodes is not None:
+        if args.function:
+            raise ConfigError("--function picks grid test functions; --nodes has its own values")
         data = datasets.load_csv(args.nodes, geo=args.geo)
         if data.values is None:
             raise DataError(f"node file {args.nodes} carries no data values")

@@ -179,12 +179,13 @@ def load_csv(path, geo: bool = False) -> PointSet:
 
 
 def _csv_rows(path):
-    """Yield the rows of a CSV file; a file that cannot be read as CSV text raises DataError.
+    """Yield the rows of a UTF-8 CSV file; a file that cannot be read as CSV text raises DataError.
 
-    A decode error names no line: the text layer decodes the file in chunks,
-    so the row at which it surfaces need not hold the bad byte.
+    A leading byte-order mark is dropped, so it cannot hide a first row's
+    number.  A decode error names no line: the text layer decodes the file in
+    chunks, so the row at which it surfaces need not hold the bad byte.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield from reader

@@ -14,7 +14,6 @@ class DataError(ValueError):
         if path is not None:
             message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class SolveError(ArithmeticError):

@@ -15,13 +15,14 @@ With no harmonics (L = -1) Y is an empty block of U = 0 columns.
 
 Neighborhoods are solved SOLVE_CHUNK at a time: a chunk's systems are
 assembled, solved once by batched dense LU with partial pivoting and checked
-against the interpolation and moment tolerances; with two CPUs and two
-chunks or more, one worker thread takes the odd chunks (results are
-byte-identical).  On dense node sets the kernel block is nearly flat and its
-condition number can pass 1/eps, so the chunk's neighborhoods that miss the
-check climb a retry ladder.  After refinement, each rescue rung solves the
-rows still failing and keeps its answer only where it lowers the full
-residual; a row a rung cannot solve comes back NaN, which never does:
+against the interpolation and moment tolerances, both read off one residual
+rhs - M sol; with two CPUs and two chunks or more, one worker thread takes
+the odd chunks (results are byte-identical).  On dense node sets the kernel
+block is nearly flat and its condition number can pass 1/eps, so the chunk's
+neighborhoods that miss the check climb a retry ladder.  After refinement,
+each rescue rung solves the rows still failing and keeps its answer only
+where it lowers the full residual; a row a rung cannot solve comes back
+NaN, which never does:
 
     refined   keep-best iterative refinement of the LU solution; each step
               runs only on the rows the step before improved;
@@ -45,12 +46,9 @@ import numpy as np
 
 from . import harmonics
 
-# Relative tolerance of every neighborhood's residual check (_residuals_ok).
+# Relative tolerance of every neighborhood's residual check (_residuals).
 RTOL = 1e-8
 
-# Moment residuals are measured against ||a||; data that is exactly a
-# harmonic drives the true a to zero, leaving only solver noise, so a small
-# absolute term scaled by ||f|| keeps the check meaningful there.
 MOMENT_ABS_FLOOR = 1e-10
 
 _REFINE_STEPS = 3
@@ -106,8 +104,23 @@ def _lu_solve(M, rhs):
     return sol
 
 
-def _residual_norms(M, rhs, sol):
-    return np.linalg.norm(rhs - (M @ sol[..., None])[..., 0], axis=1)
+def _residuals(M, rhs, sol, m):
+    """Residual norms, and the tolerance check, of each neighborhood's solution.
+
+    One product r = rhs - M sol serves both: ||r|| ranks a rung's attempts.
+    The check asks ||r[:, :m]|| <= RTOL ||f|| of the interpolation residual,
+    and max|r[:, m:]| <= max|Y| (RTOL ||a|| + MOMENT_ABS_FLOOR ||f||) of the
+    moment residual -Y^T a (rhs and M's lower-right block are zero there);
+    the absolute term keeps the check meaningful for harmonic data, whose true
+    a is zero.  At L = -1 the moment block is empty and both maxima read 0.
+    """
+    r = rhs - (M @ sol[..., None])[..., 0]
+    scale = np.linalg.norm(rhs[:, :m], axis=1)
+    moment = np.abs(r[:, m:]).max(axis=1, initial=0.0)
+    y_max = np.abs(M[:, :m, m:]).max(axis=(1, 2), initial=0.0)
+    moment_bound = y_max * (RTOL * np.linalg.norm(sol[:, :m], axis=1) + MOMENT_ABS_FLOOR * scale)
+    ok = (np.linalg.norm(r[:, :m], axis=1) <= RTOL * scale) & (moment <= moment_bound)
+    return np.linalg.norm(r, axis=1), ok
 
 
 def _refine_keep_best(M, rhs, sol):
@@ -117,7 +130,9 @@ def _refine_keep_best(M, rhs, sol):
     corrections are applied per row only where they shrink the residual.
     A row that did not improve would repeat the same step, so each step
     runs only on the rows the step before improved.  An exactly singular
-    row gets a zero correction, which does not improve it.
+    row gets a zero correction, which does not improve it.  The correction
+    solves for the residual's own rounding, so it stays an einsum: with the
+    `M @ sol` of _residuals, flat-limit rrmse (n=4000, gamma=0.05, L=-1) rose 5 %.
     """
     best = sol.copy()
     resid = rhs - np.einsum("nij,nj->ni", M, best)
@@ -191,17 +206,17 @@ def _climb_ladder(M, rhs, m, sol):
     """Escalate rows that missed RTOL after the first LU; returns (sol, path)."""
     path = np.full(len(sol), PATH_REFINED, dtype=np.uint8)
     sol = _refine_keep_best(M, rhs, sol)
-    todo = np.nonzero(~_residuals_ok(M, rhs, sol, m))[0]
-    best = _residual_norms(M[todo], rhs[todo], sol[todo])
+    best, ok = _residuals(M, rhs, sol, m)
+    todo, best = np.nonzero(~ok)[0], best[~ok]
     for code, rung in ((PATH_EXTENDED, _lu_solve_extended), (PATH_LSTSQ, _lstsq_solve)):
         path[todo] = code
         Mt, rt = M[todo], rhs[todo]
         cand = rung(Mt, rt)
-        norm = _residual_norms(Mt, rt, cand)
+        norm, cand_ok = _residuals(Mt, rt, cand, m)
         take = norm < best  # a NaN row never wins
         sol[todo[take]] = cand[take]
         best[take] = norm[take]
-        still = ~_residuals_ok(Mt, rt, sol[todo], m)
+        still = ~(take & cand_ok)  # a row not taken keeps its failed solution
         todo, best = todo[still], best[still]
     path[todo] = PATH_MISSED
     return sol, path
@@ -244,7 +259,7 @@ def solve_saddle_batch(kernel, degree, pts, vals):
             chunk_path = path[rows]
             M, rhs = _saddle_systems(kernel, degree, pts[rows], vals[rows])
             x = _lu_solve(M, rhs)
-            fail = ~_residuals_ok(M, rhs, x, m)
+            fail = ~_residuals(M, rhs, x, m)[1]
             if fail.any():
                 x[fail], chunk_path[fail] = _climb_ladder(M[fail], rhs[fail], m, x[fail])
             sol[rows] = x
@@ -256,23 +271,3 @@ def solve_saddle_batch(kernel, degree, pts, vals):
         for other in others:
             other.result()
     return sol[:, :m], sol[:, m:], path
-
-
-def _residuals_ok(M, rhs, sol, m):
-    """Per-neighborhood check of interpolation and moment residuals.
-
-    The einsums over the blocks are part of the solve's contract: a single
-    `M @ sol` residual rounds differently and moves 68-84 of 4000 flat-limit
-    rows (n=4000, gamma=0.05, L=-1) onto the `lu` path, 60 off it at L=2.
-    """
-    A, Y, vals = M[:, :m, :m], M[:, :m, m:], rhs[:, :m]
-    a, b = sol[:, :m], sol[:, m:]
-    pred = np.einsum("nij,nj->ni", A, a)
-    scale = np.linalg.norm(vals, axis=1)
-    moment_ok = True
-    if Y.shape[-1]:  # with no harmonic block (L = -1) there is no Y b term and no moment check
-        pred += np.einsum("niu,nu->ni", Y, b)
-        moment = np.abs(np.einsum("niu,ni->nu", Y, a)).max(axis=1)
-        y_max = np.abs(Y).max(axis=(1, 2))
-        moment_ok = moment <= y_max * (RTOL * np.linalg.norm(a, axis=1) + MOMENT_ABS_FLOOR * scale)
-    return (np.linalg.norm(pred - vals, axis=1) <= RTOL * scale) & moment_ok

@@ -54,6 +54,21 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["generate", "random", "--n", 5, "--noise", 3], "--noise"),
+    (["generate", "spiral", "--n", 5, "--noise", 3], "--noise"),
+    (["generate", "geomagnetic-synth", "--n", 5, "--function", "f1"], "--function"),
+    (["benchmark", "--nodes", "NODES", "--holdout", 10, "--seeds", 1, "--function", "f2"],
+     "--function"),
+], ids=["random-noise", "spiral-noise", "geomagnetic-function", "nodes-function"])
+def test_flag_the_command_would_ignore_is_usage_error(tmp_path, capsys, command, flag):
+    nodes = write_node_file(tmp_path / "n.csv")
+    out = tmp_path / "out"
+    assert run([nodes if a == "NODES" else a for a in command] + ["--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_unwritable_path_is_io_error(tmp_path):
     out = tmp_path / "missing_dir" / "x.csv"
     assert run(["generate", "random", "--n", 5, "--out", out]) == 3
@@ -241,6 +256,16 @@ def test_config_file_rejects_unparsable_value(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+def test_config_file_with_byte_order_mark_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfgamma = 0.4\n")
+    out = tmp_path / "b"
+    assert run(["benchmark", "--n", 100, "--s", 30, "--seeds", 1, "--degrees=-1",
+                "--no-gamma-sweep", "--config", cfg, "--out", out]) == 0
+    header, row = read_rows(out / "benchmark.csv")
+    assert row[header.index("gamma")] == "0.4"
+
+
 def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
     nodes = write_node_file(tmp_path / "n.csv")
     cfg = tmp_path / "run.cfg"
@@ -301,6 +326,12 @@ def test_benchmark_fits_each_distinct_degree_once(tmp_path, capsys):
     _, *sweep = read_rows(out / "gamma_sweep.csv")
     assert [r[2] for r in sweep] == ["2"] * 19 + ["-1"] * 19
     assert capsys.readouterr().out.endswith(f"wrote 4 benchmark rows to {out / 'benchmark.csv'}\n")
+
+
+def test_benchmark_rejects_unparsable_list(tmp_path, capsys):
+    assert run(["benchmark", "--n", "100,abc", "--s", 30, "--seeds", 1,
+                "--out", tmp_path / "b"]) == 2
+    assert "could not parse list '100,abc'" in capsys.readouterr().err
 
 
 def test_benchmark_rejects_zero_eval_points(tmp_path, capsys):

@@ -170,6 +170,29 @@ def test_load_accepts_crlf(tmp_path):
     assert data.values.tolist() == [2.0, 3.0]
 
 
+def test_load_drops_a_byte_order_mark(tmp_path):
+    # With no header, the first row is data; a mark stuck to its first field
+    # would make it read as a header and drop it.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,0,0,5\n0,1,0,6\n0,0,1,7\n")
+    data = load_csv(path)
+    assert data.values.tolist() == [5.0, 6.0, 7.0]
+    assert data.points[0].tolist() == [1.0, 0.0, 0.0]
+
+
+def test_load_skips_blank_rows(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x,y,z\n\n1,0,0\n , ,\n0,1,0\n")
+    data = load_csv(path)
+    assert data.points.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert data.values is None
+
+
+def test_point_set_rejects_values_of_another_length():
+    with pytest.raises(ValueError, match="3 points but 2 values"):
+        PointSet(np.eye(3), np.zeros(2))
+
+
 def test_load_points_without_values(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("1,0,0\n0,1,0\n")

@@ -290,7 +290,7 @@ def test_rows_passing_first_check_keep_plain_lu_solution(degree):
     a, b, path = localfit.solve_saddle_batch(FLAT, degree, pts, vals)
     M, rhs = localfit._saddle_systems(FLAT, degree, pts, vals)
     plain = np.linalg.solve(M, rhs[..., None])[..., 0]
-    first_ok = localfit._residuals_ok(M, rhs, plain, 15)
+    first_ok = localfit._residuals(M, rhs, plain, 15)[1]
     # This flat-limit cloud reaches every rung of the ladder.
     assert np.bincount(path, minlength=5).all()
     assert np.array_equal(path == localfit.PATH_LU, first_ok)
@@ -355,10 +355,10 @@ def _climb_ladder_per_row(M, rhs, m, sol):
         Mi, ri = M[i : i + 1], rhs[i : i + 1]
 
         def ok(x):
-            return localfit._residuals_ok(Mi, ri, x[None], m)[0]
+            return localfit._residuals(Mi, ri, x[None], m)[1][0]
 
         def norm(x):
-            return localfit._residual_norms(Mi, ri, x[None])[0]
+            return localfit._residuals(Mi, ri, x[None], m)[0][0]
 
         best = localfit._refine_keep_best(Mi, ri, sol[i : i + 1])[0]
         path[i] = localfit.PATH_REFINED
@@ -387,7 +387,7 @@ def _climb_ladder_per_row(M, rhs, m, sol):
 def test_ladder_equals_per_row_oracle(kernel, degree, batch):
     M, rhs = localfit._saddle_systems(kernel, degree, *batch())
     sol = localfit._lu_solve(M, rhs)
-    fail = ~localfit._residuals_ok(M, rhs, sol, 15)
+    fail = ~localfit._residuals(M, rhs, sol, 15)[1]
     got_sol, got_path = localfit._climb_ladder(M[fail], rhs[fail], 15, sol[fail])
     want_sol, want_path = _climb_ladder_per_row(M[fail], rhs[fail], 15, sol[fail])
     assert got_path.tolist() == want_path.tolist()

@@ -53,6 +53,12 @@ def test_length_mismatch_rejected():
         error_report(np.ones(3), np.ones(2))
 
 
+def test_empty_inputs_rejected():
+    for measure in (rrmse, error_report):
+        with pytest.raises(ValueError, match="empty inputs"):
+            measure([], [])
+
+
 def test_report_identical_vectors():
     rep = error_report(np.ones(5), np.ones(5))
     assert rep.rrmse == rep.rmse == rep.max_abs_error == 0.0

@@ -344,6 +344,22 @@ def test_evaluate_reuses_the_fitted_index(monkeypatch):
     assert np.all(np.isfinite(evaluate(model, rand_points(5, 26))))
 
 
+def test_evaluate_in_many_chunks_equals_one_chunk(monkeypatch):
+    model, nodes, _ = make_model(n=300, seed=27)
+    pts = np.vstack([rand_points(45, 28), nodes[:5]])  # five points on nodes
+    whole = evaluate(model, pts)
+    calls = []
+
+    def spy(x, *args):
+        calls.append(len(x))
+        return weights(x, *args)
+
+    monkeypatch.setattr(shepard, "EVAL_CHUNK", 7)
+    monkeypatch.setattr(shepard, "weights", spy)
+    assert evaluate(model, pts).tobytes() == whole.tobytes()
+    assert calls == [7] * 7 + [1]
+
+
 def test_evaluate_rejects_non_finite_point():
     model, _, _ = make_model(n=50, seed=20)
     pts = rand_points(4, 21)

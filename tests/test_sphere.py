@@ -18,6 +18,11 @@ def test_normalize_345_triangle():
     assert np.allclose(normalize([3.0, 4.0, 0.0]), [0.6, 0.8, 0.0])
 
 
+def test_normalize_rejects_vectors_of_another_length():
+    with pytest.raises(ValueError, match="expected 3-vectors"):
+        normalize([1.0, 2.0])
+
+
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError):
         normalize([0.0, 0.0, 0.0])

@@ -127,6 +127,12 @@ def test_zone_invariants_random():
     assert seen == set(range(400))
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.pi + 1e-9, np.nan])
+def test_build_zones_rejects_delta_out_of_range(delta):
+    with pytest.raises(ValueError, match="delta must be in"):
+        build_zones(AXIS_POINTS, delta)
+
+
 def test_empty_point_set_is_valid():
     ix = build_zones(np.empty((0, 3)), 0.5)
     assert len(ix.query_cap([0.0, 0.0, 1.0], 1.0)) == 0
