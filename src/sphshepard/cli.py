@@ -2,11 +2,15 @@
 
 Subcommands
 -----------
-generate     write a node/evaluation CSV (random, spiral, or synthetic
-             geomagnetic-style data)
+generate     write a node/evaluation CSV: `random` (--n, --seed, --function),
+             `spiral` (--n, --function) or `geomagnetic-synth` (--n, --seed,
+             --noise), each with --out; the flags follow the kind
 interpolate  fit a model to a node file and evaluate it on an evaluation file
 benchmark    run an accuracy grid over (function, n, L, seed), write a table
-             CSV, a shape-parameter sweep CSV, and a median summary
+             CSV, a shape-parameter sweep CSV, and a median summary; with
+             --nodes, cross-validate a file instead (--holdout, --geo)
+
+Each mode accepts only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, 2 usage error (ConfigError), 3 data error,
 4 numerical failure.  Parameter precedence: command-line flags > config
@@ -62,41 +66,33 @@ def _resolve_config(args) -> shepard.ShepardConfig:
     A command reads the config keys it has flags for; any other key in the
     file raises ConfigError.
     """
+    base = shepard.ShepardConfig()
+    values = dict(gamma=base.kernel.gamma, degree=base.degree, nz=base.n_z, nw=base.n_w)
     config = _read_config(args.config) if getattr(args, "config", None) else {}
-    for key in config:
-        if key not in ("gamma", "degree", "nz", "nw") or not hasattr(args, key):
+    for key, text in config.items():  # every value is parsed, even one a flag overrides
+        if key not in values or not hasattr(args, key):
             hint = " (it takes L from --degrees)" if key == "degree" else ""
             raise ConfigError(f"config key {key!r} is not read by {args.command}{hint}")
-    def value(key, default):
-        if getattr(args, key, None) is not None:
-            return getattr(args, key)
-        if key not in config:
-            return default
+        kind = type(values[key])
         try:
-            return type(default)(config[key])
+            values[key] = kind(text)
         except ValueError:
-            kind = type(default).__name__
-            raise ConfigError(f"config value {key} = {config[key]!r} is not a valid {kind}") from None
-    base = shepard.ShepardConfig()
-    return replace(base, n_z=value("nz", base.n_z), n_w=value("nw", base.n_w),
-                   kernel=InverseMultiquadric(value("gamma", base.kernel.gamma)),
-                   degree=value("degree", base.degree))
+            raise ConfigError(f"config value {key} = {text!r} is not a valid {kind.__name__}") from None
+    values.update((key, getattr(args, key)) for key in values if getattr(args, key, None) is not None)
+    return replace(base, n_z=values["nz"], n_w=values["nw"],
+                   kernel=InverseMultiquadric(values["gamma"]), degree=values["degree"])
 
 
 def cmd_generate(args) -> int:
-    synth = args.kind == "geomagnetic-synth"
-    if args.noise and not synth:
-        raise ConfigError(f"--noise applies only to geomagnetic-synth, not to {args.kind}")
-    if args.function is not None and synth:
-        raise ConfigError("--function would replace the geomagnetic-synth field; leave it out")
     if args.kind == "spiral":
         data = datasets.spiral_points(args.n)
     elif args.kind == "random":
         data = datasets.random_uniform_sphere(args.n, args.seed)
     else:  # geomagnetic-synth
         data = datasets.synthetic_geomagnetic(args.n, args.seed, noise=args.noise)
-    if args.function is not None:
-        data = datasets.PointSet(data.points, datasets.test_function(args.function, data.points))
+    function = getattr(args, "function", None)  # geomagnetic-synth has no --function
+    if function is not None:
+        data = datasets.PointSet(data.points, datasets.test_function(function, data.points))
     datasets.write_csv(args.out, data)
     print(f"wrote {len(data)} points to {args.out}")
     return EXIT_OK
@@ -139,32 +135,39 @@ def _bench_cases(args, n_z, seeds):
 
     With --nodes, one cross-validation split of the file per seed, holding
     out --holdout rows.  Otherwise one random node set per function x n x
-    seed, scored at --s spiral points.
+    seed, scored at --s spiral points.  A repeated --n or --function value
+    adds no case.
     """
-    if args.nodes is not None:
-        if args.function:
-            raise ConfigError("--function picks grid test functions; --nodes has its own values")
+    file_mode = args.nodes is not None
+    for name in ("function", "n", "s", "no_gamma_sweep") if file_mode else ("holdout", "geo"):
+        if getattr(args, name) is not None:  # argparse cannot see the mode
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} is {'not read' if file_mode else 'read only'} with --nodes")
+    if file_mode:
+        holdout = 200 if args.holdout is None else args.holdout
         data = datasets.load_csv(args.nodes, geo=args.geo)
         if data.values is None:
             raise DataError(f"node file {args.nodes} carries no data values")
-        if not 1 <= args.holdout < len(data):
+        if not 1 <= holdout < len(data):
             raise ConfigError(f"file benchmarks need 1 <= --holdout < {len(data)} "
-                              f"(the rows of {args.nodes}), got {args.holdout}")
+                              f"(the rows of {args.nodes}), got {holdout}")
         for seed in seeds:
-            train, test = datasets.split_cross_validation(data, args.holdout, seed)
-            yield (Path(args.nodes).stem, seed, args.holdout,
+            train, test = datasets.split_cross_validation(data, holdout, seed)
+            yield (Path(args.nodes).stem, seed, holdout,
                    train.points, train.values, test.points, test.values)
         return
-    eval_pts = datasets.spiral_points(args.s).points
-    ns = _int_list(args.n)
+    s = 600 if args.s is None else args.s
+    n_text = "1000,4000" if args.n is None else args.n
+    eval_pts = datasets.spiral_points(s).points
+    ns = list(dict.fromkeys(_int_list(n_text)))
     if not ns or min(ns) < n_z:
-        raise ConfigError(f"every --n must be >= n_z={n_z}, got {args.n!r}")
-    for fid in args.function or ["f1"]:
+        raise ConfigError(f"every --n must be >= n_z={n_z}, got {n_text!r}")
+    for fid in dict.fromkeys(args.function or ["f1"]):
         truth = datasets.test_function(fid, eval_pts)
         for n in ns:
             for seed in seeds:
                 nodes = datasets.random_uniform_sphere(n, seed).points
-                yield fid, seed, args.s, nodes, datasets.test_function(fid, nodes), eval_pts, truth
+                yield fid, seed, s, nodes, datasets.test_function(fid, nodes), eval_pts, truth
 
 
 def _bench_row(case, config) -> dict:
@@ -242,22 +245,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a point-set CSV")
-    p_gen.add_argument("kind", choices=["random", "spiral", "geomagnetic-synth"])
-    p_gen.add_argument("--n", type=int, required=True, help="number of points")
-    p_gen.add_argument("--seed", type=_seed, default=0)
-    p_gen.add_argument("--noise", type=float, default=0.0,
-                       help="additive noise sigma for geomagnetic-synth")
-    p_gen.add_argument("--function", choices=["f1", "f2"], default=None,
-                       help="attach test-function values to the points")
-    p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
+    kinds = p_gen.add_subparsers(dest="kind", required=True)
+    n_out, seed, function = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    n_out.add_argument("--n", type=int, required=True, help="number of points")
+    n_out.add_argument("--out", required=True)
+    seed.add_argument("--seed", type=_seed, default=0)
+    function.add_argument("--function", choices=["f1", "f2"], default=None,
+                          help="attach test-function values to the points")
+    kinds.add_parser("random", parents=[n_out, seed, function], help="uniform random points")
+    kinds.add_parser("spiral", parents=[n_out, function], help="generalized spiral points")
+    p_synth = kinds.add_parser("geomagnetic-synth", parents=[n_out, seed],
+                               help="synthetic geomagnetic-style data")
+    p_synth.add_argument("--noise", type=float, default=0.0, help="additive noise sigma")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--gamma", type=float, default=None, help="kernel shape parameter in (0,1)")
     common.add_argument("--nz", type=int, default=None, help="local fit neighborhood size")
     common.add_argument("--nw", type=int, default=None, help="weight neighborhood size")
     common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument("--geo", action="store_true",
+    common.add_argument("--geo", action="store_true", default=None,
                         help="input files are lat,lon[,value] in degrees")
 
     p_int = sub.add_parser("interpolate", parents=[common],
@@ -275,14 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="test function (repeatable; default f1)")
     p_bench.add_argument("--nodes", default=None,
                          help="benchmark a node file via cross-validation instead")
-    p_bench.add_argument("--holdout", type=int, default=200,
-                         help="held-out point count for file benchmarks")
-    p_bench.add_argument("--n", default="1000,4000", help="comma list of node counts")
+    # The mode-specific flags default to None, so _bench_cases can tell a given one.
+    p_bench.add_argument("--holdout", type=int, default=None,
+                         help="held-out point count for file benchmarks (default 200)")
+    p_bench.add_argument("--n", default=None, help="comma list of node counts (default 1000,4000)")
     p_bench.add_argument("--degrees", default="-1,0,1,2", help="comma list of L values")
-    p_bench.add_argument("--s", type=int, default=600, help="spiral evaluation-point count")
+    p_bench.add_argument("--s", type=int, default=None,
+                         help="spiral evaluation-point count (default 600)")
     p_bench.add_argument("--seed", type=_seed, default=0, help="first seed")
     p_bench.add_argument("--seeds", type=int, default=5, help="number of seeds")
-    p_bench.add_argument("--no-gamma-sweep", action="store_true")
+    p_bench.add_argument("--no-gamma-sweep", action="store_true", default=None)
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.set_defaults(func=cmd_benchmark)
     return parser
@@ -309,7 +318,3 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

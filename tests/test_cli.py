@@ -54,13 +54,23 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+FILE_BENCH = ["benchmark", "--nodes", "NODES", "--holdout", 10, "--seeds", 1]
+GRID_BENCH = ["benchmark", "--n", 100, "--s", 20, "--seeds", 1, "--no-gamma-sweep"]
+
+
 @pytest.mark.parametrize("command, flag", [
     (["generate", "random", "--n", 5, "--noise", 3], "--noise"),
+    (["generate", "spiral", "--n", 5, "--seed", 3], "--seed"),
     (["generate", "spiral", "--n", 5, "--noise", 3], "--noise"),
     (["generate", "geomagnetic-synth", "--n", 5, "--function", "f1"], "--function"),
-    (["benchmark", "--nodes", "NODES", "--holdout", 10, "--seeds", 1, "--function", "f2"],
-     "--function"),
-], ids=["random-noise", "spiral-noise", "geomagnetic-function", "nodes-function"])
+    (FILE_BENCH + ["--function", "f2"], "--function"),
+    (FILE_BENCH + ["--n", 5], "--n"),
+    (FILE_BENCH + ["--s", 3], "--s"),
+    (FILE_BENCH + ["--no-gamma-sweep"], "--no-gamma-sweep"),
+    (GRID_BENCH + ["--holdout", 7], "--holdout"),
+    (GRID_BENCH + ["--geo"], "--geo"),
+], ids=["random-noise", "spiral-seed", "spiral-noise", "geomagnetic-function", "nodes-function",
+        "nodes-n", "nodes-s", "nodes-no-gamma-sweep", "grid-holdout", "grid-geo"])
 def test_flag_the_command_would_ignore_is_usage_error(tmp_path, capsys, command, flag):
     nodes = write_node_file(tmp_path / "n.csv")
     out = tmp_path / "out"
@@ -256,6 +266,16 @@ def test_config_file_rejects_unparsable_value(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+def test_config_value_a_flag_overrides_is_still_parsed(tmp_path, capsys):
+    nodes = write_node_file(tmp_path / "n.csv")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("nz = abc\n")
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes,
+                "--out", tmp_path / "o.csv", "--config", cfg, "--nz", 12]) == 2
+    assert "config value nz = 'abc' is not a valid int" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_file_with_byte_order_mark_is_read(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfgamma = 0.4\n")
@@ -325,6 +345,17 @@ def test_benchmark_fits_each_distinct_degree_once(tmp_path, capsys):
         ("0", "2"), ("0", "-1"), ("1", "2"), ("1", "-1")]
     _, *sweep = read_rows(out / "gamma_sweep.csv")
     assert [r[2] for r in sweep] == ["2"] * 19 + ["-1"] * 19
+    assert capsys.readouterr().out.endswith(f"wrote 4 benchmark rows to {out / 'benchmark.csv'}\n")
+
+
+def test_benchmark_fits_each_distinct_function_and_n_once(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert run(["benchmark", "--function", "f1", "--function", "f2", "--function", "f1",
+                "--n", "100,120,100", "--s", 30, "--seeds", 1, "--degrees=-1,-1",
+                "--no-gamma-sweep", "--out", out]) == 0
+    header, *table = read_rows(out / "benchmark.csv")
+    assert [(r[header.index("function")], r[header.index("n")]) for r in table] == [
+        ("f1", "100"), ("f1", "120"), ("f2", "100"), ("f2", "120")]
     assert capsys.readouterr().out.endswith(f"wrote 4 benchmark rows to {out / 'benchmark.csv'}\n")
 
 

@@ -1,15 +1,15 @@
 """The README's quick start and CLI lines run as printed.
 
-The CLI check runs the `generate` and `interpolate` lines of the README's
-CLI block; it leaves out the `benchmark` lines, whose n=4000 x 5-seed grid
-is too slow for the tier-1 suite.
+Every line of the README's CLI block parses; the `generate` and
+`interpolate` lines also run.  The `benchmark` lines only parse: their
+n=4000 x 5-seed grid is too slow for the tier-1 suite.
 """
 
 import re
 import shlex
 from pathlib import Path
 
-from sphshepard.cli import main
+from sphshepard.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,10 +27,22 @@ def test_readme_quick_start_prints_its_stated_rrmse(capsys):
     assert stated / 2 <= printed <= 2 * stated
 
 
+def cli_lines() -> list:
+    return [shlex.split(line) for line in code_block("CLI", "sh").replace("\\\n", " ").splitlines()
+            if line.startswith("sphshepard ")]
+
+
+def test_readme_cli_lines_parse():
+    commands = cli_lines()
+    assert [argv[1] for argv in commands] == ["generate", "generate", "interpolate", "benchmark",
+                                              "generate", "benchmark"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # a usage error exits
+
+
 def test_readme_cli_generate_and_interpolate_lines_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    commands = [shlex.split(line) for line in code_block("CLI", "sh").replace("\\\n", " ").splitlines()
-                if line.startswith(("sphshepard generate", "sphshepard interpolate"))]
+    commands = [argv for argv in cli_lines() if argv[1] in ("generate", "interpolate")]
     assert [argv[1] for argv in commands] == ["generate", "generate", "interpolate", "generate"]
     for argv in commands:
         assert main(argv[1:]) == 0, argv
