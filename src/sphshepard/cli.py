@@ -12,16 +12,18 @@ benchmark    run an accuracy grid over (function, n, L, seed), write a table
 
 Each mode accepts only the flags it reads; any other is a usage error.
 
-Exit codes: 0 success, 2 usage error (ConfigError), 3 data error,
-4 numerical failure.  Parameter precedence: command-line flags > config
-file (key=value lines) > the defaults of ShepardConfig; a config key the
-command does not read is a usage error.  The parameter ranges are checked
-by ShepardConfig and InverseMultiquadric.
+Exit codes: 0 success, also where stdout closes early (a command prints
+after writing its files), 2 usage error (ConfigError), 3 data error, 4
+numerical failure.  Parameter precedence: command-line flags > config file
+(key=value lines, each key once) > the defaults of ShepardConfig; a config
+key the command does not read is a usage error.  ShepardConfig and
+InverseMultiquadric check the parameter ranges.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
@@ -48,7 +50,7 @@ def _read_config(path) -> dict:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     except UnicodeDecodeError as exc:
         raise datasets.decode_error(path, exc) from None
-    out = {}
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -56,7 +58,9 @@ def _read_config(path) -> dict:
         if "=" not in line:
             raise DataError(f"expected key=value, got {raw!r}", lineno, path)
         key, value = (t.strip() for t in line.split("=", 1))
-        out[key] = value
+        if key in first_line:
+            raise DataError(f"key {key!r} repeats line {first_line[key]}", lineno, path)
+        first_line[key], out[key] = lineno, value
     return out
 
 
@@ -106,10 +110,11 @@ def cmd_interpolate(args) -> int:
     eval_set = datasets.load_csv(args.eval, geo=args.geo)
     model = shepard.fit(nodes.points, nodes.values, config)
     predicted = shepard.evaluate(model, eval_set.points)
+    # Scored first, so an undefined RRMSE leaves no output file.
+    rep = None if eval_set.values is None else metrics.error_report(predicted, eval_set.values)
     datasets.write_csv(args.out, datasets.PointSet(eval_set.points, predicted), value_header="F")
     print(f"wrote {len(eval_set)} interpolated values to {args.out}")
-    if eval_set.values is not None:
-        rep = metrics.error_report(predicted, eval_set.values)
+    if rep is not None:
         print(f"rrmse={rep.rrmse:.6e} rmse={rep.rmse:.6e} "
               f"max_abs_error={rep.max_abs_error:.6e} count={rep.count}")
     return EXIT_OK
@@ -218,9 +223,8 @@ def cmd_benchmark(args) -> int:
     rows = [_bench_row(case, config) for case in cases for config in configs.values()]
     table_path = outdir / "benchmark.csv"
     datasets.write_table(table_path, list(rows[0]), [list(r.values()) for r in rows])
-    summary = _summary(rows)
-    (outdir / "summary.txt").write_text(summary, newline="\n")
-    print(summary, end="")
+    report = _summary(rows)
+    (outdir / "summary.txt").write_text(report, newline="\n")
 
     if not args.no_gamma_sweep and args.nodes is None:
         sweep_path = outdir / "gamma_sweep.csv"
@@ -231,9 +235,9 @@ def cmd_benchmark(args) -> int:
                  for config in configs.values() for gamma in GAMMA_GRID]
         cols = ["function", "n", "L", "seed", "gamma", "rrmse"]
         datasets.write_table(sweep_path, cols, [[r[c] for c in cols] for r in sweep])
-        print(f"wrote shape-parameter sweep to {sweep_path}")
+        report += f"wrote shape-parameter sweep to {sweep_path}\n"
 
-    print(f"wrote {len(rows)} benchmark rows to {table_path}")
+    print(f"{report}wrote {len(rows)} benchmark rows to {table_path}")
     return EXIT_OK
 
 
@@ -304,7 +308,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout then raises here, not at exit
+        return code
+    except BrokenPipeError:  # every file is written; stdout's flush at exit then goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

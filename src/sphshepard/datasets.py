@@ -1,8 +1,8 @@
 """Point-set generation, test functions, CSV I/O, and train/test splitting.
 
-Random node sets are drawn with numpy's default PCG64 generator by
-normalizing 3-D standard Gaussians, which is uniform on the sphere and
-reproducible per seed.  Quasi-uniform evaluation sets come from the
+Random node sets are 3-D standard Gaussians from numpy's default PCG64
+generator, scaled to unit length by `sphere.normalize`: uniform on the
+sphere and reproducible per seed.  Quasi-uniform evaluation sets come from the
 generalized spiral: s latitudes equally spaced in z from the south to the
 north pole, with the azimuth advancing by 3.6/sqrt(s)/sqrt(1 - z^2) per
 step so consecutive points keep a roughly constant surface distance.
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harmonics
 from .errors import ConfigError, DataError
-from .sphere import geodesic_distance
+from .sphere import geodesic_distance, normalize
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,7 @@ def random_uniform_sphere(n: int, seed: int) -> PointSet:
     """n points uniform on the sphere (normalized Gaussian method)."""
     if n < 1:
         raise ConfigError(f"need n >= 1 points, got {n}")
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, 3))
-    norms = np.linalg.norm(pts, axis=1)
-    while np.any(norms < 1e-12):  # astronomically rare; resample degenerate draws
-        bad = norms < 1e-12
-        pts[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(pts, axis=1)
-    return PointSet(pts / norms[:, None])
+    return PointSet(normalize(np.random.default_rng(seed).standard_normal((n, 3))))
 
 
 def spiral_points(s: int) -> PointSet:
@@ -127,27 +120,29 @@ def load_csv(path, geo: bool = False) -> PointSet:
 
     Cartesian mode: rows ``x,y,z`` or ``x,y,z,value``.  Geographic mode
     (``geo=True``): rows ``lat,lon`` or ``lat,lon,value`` in degrees, with
-    |lat| <= 90 and a finite lon.  The first non-empty line is a header when
-    one of its fields is not a number; non-unit points are normalized.  A
-    row whose point has no finite, positive length (all coordinates zero or
-    tiny, one too large to square, inf or NaN) or whose value is not finite
-    raises DataError naming the file and the line.
+    |lat| <= 90 and a finite lon.  Rows of empty fields are skipped; the first
+    other line is a header when one of its non-empty fields is not a number.
+    Non-unit points are normalized.  An empty field, a point without finite,
+    positive length (all coordinates zero or tiny, one too large to square,
+    inf or NaN) or a non-finite value raises DataError naming file and line.
     """
     coord_cols = 2 if geo else 3
     widths, header_allowed = (coord_cols, coord_cols + 1), True
     pts, vals = array("d"), array("d")
     for lineno, row in enumerate(_csv_rows(path), start=1):
-        row = [t.strip() for t in row if t.strip()]
-        if not row:
+        row = [t.strip() for t in row]
+        if not any(row):
             continue
         try:
-            nums, error = [float(t) for t in row], None
+            nums, error = [float(t) for t in row if t], None
         except ValueError as exc:
             nums, error = None, exc
         if header_allowed and error:
             header_allowed = False
             continue  # single optional header line
         header_allowed = False
+        if "" in row:
+            raise DataError(f"field {row.index('') + 1} is empty", lineno, path)
         if len(row) not in widths:
             expected = " or ".join(map(str, widths))
             raise DataError(f"expected {expected} fields, got {len(row)}", lineno, path)

@@ -1,7 +1,7 @@
 """Error measures for benchmarking interpolation accuracy.
 
-RRMSE is the l2-relative error ||predicted - truth||_2 / ||truth||_2 over
-the evaluation set.
+RRMSE is the l2-relative error ||predicted - truth||_2 / ||truth||_2 over the
+evaluation set.  `rrmse` alone computes it; all-zero truth raises there.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 
-class UndefinedRelativeError(ValueError):
+
+class UndefinedRelativeError(DataError):
     """Relative error is undefined because the truth vector is all zero."""
 
 
@@ -37,19 +39,13 @@ def rrmse(predicted, truth) -> float:
     p, t = _check_pair(predicted, truth)
     scale = np.linalg.norm(t)
     if scale == 0.0:
-        raise UndefinedRelativeError("truth vector has zero norm; use absolute RMSE")
+        raise UndefinedRelativeError("RRMSE is undefined: the truth values are all zero")
     return float(np.linalg.norm(p - t) / scale)
 
 
 def error_report(predicted, truth) -> ErrorReport:
-    """RRMSE, RMSE and max error; rrmse falls back to rmse for zero truth."""
+    """RRMSE, RMSE and max error; zero truth raises UndefinedRelativeError, as in rrmse."""
     p, t = _check_pair(predicted, truth)
-    diff = p - t
-    err, scale = np.linalg.norm(diff), np.linalg.norm(t)
-    rms = float(err / np.sqrt(diff.size))
-    return ErrorReport(
-        rrmse=float(err / scale) if scale != 0.0 else rms,
-        rmse=rms,
-        max_abs_error=float(np.max(np.abs(diff))),
-        count=int(diff.size),
-    )
+    err = np.abs(p - t)
+    return ErrorReport(rrmse=rrmse(p, t), rmse=float(np.linalg.norm(err) / np.sqrt(err.size)),
+                       max_abs_error=float(err.max()), count=err.size)

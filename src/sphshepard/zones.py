@@ -9,7 +9,7 @@ point within geodesic distance r of the center differs from it in
 colatitude by at most r.  When the query radius equals the strip width,
 i* = 1 and exactly three strips are scanned.
 
-The index keeps the points in the caller's order.  The zone order lives
+The index keeps the points, all finite, in the caller's order.  The zone order lives
 only in the ring arrays: the points are listed strip by strip in contiguous
 runs, strip q first and strip 1 last, and ``zone_offsets`` stores the q+1
 run boundaries.  Within a run the points are sorted by longitude
@@ -166,9 +166,9 @@ class ZoneIndex:
                                                          radius, m, ids, dists)
                                       for lo in range(0, pending.size, SEARCH_CHUNK)])
             if pending.size and radius >= np.pi:
-                # The whole-sphere cap holds every finite point.
+                # The whole-sphere cap of a finite center holds every indexed point.
                 raise DataError(f"center {int(pending.min())} has fewer than {m} points "
-                                "within pi: it or an indexed point is not finite")
+                                "within pi: it is not finite")
             k *= 4
         if single:
             return NeighborSet(ids[0], dists[0])
@@ -238,19 +238,18 @@ class ZoneIndex:
 def build_zones(points, delta: float) -> ZoneIndex:
     """Bucket `points` into latitude strips of width `delta`, each sorted by longitude.
 
-    The index keeps its own copy of the points, and all its arrays are read-only.
+    A non-finite point raises DataError naming the first.  The index keeps
+    its own copy of the points, and all its arrays are read-only.
     """
     if not 0.0 < delta <= np.pi:
         raise ValueError(f"delta must be in (0, pi], got {delta}")
     points = np.array(points, dtype=float).reshape(-1, 3)
-    nan_z = np.isnan(points[:, 2])
-    if nan_z.any():  # such a point has no colatitude, so no strip
-        raise DataError(f"point {int(np.argmax(nan_z))} has a NaN z coordinate")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():  # such a point has no strip or no longitude
+        raise DataError(f"point {int(np.argmin(finite))} is not finite")
     q = math.ceil(np.pi / delta)
     run = q - _strips(points[:, 2], delta, q)
-    # fmax sends the NaN longitude of a point with a NaN x or y to 0, which
-    # keeps the keys sorted; such a point is never within a finite distance.
-    lon = np.fmax(np.arctan2(points[:, 1], points[:, 0]) + np.pi, 0.0)
+    lon = np.arctan2(points[:, 1], points[:, 0]) + np.pi
     ids = np.lexsort((lon, run))
     run, lon = run[ids], lon[ids]
     counts = np.bincount(run, minlength=q)

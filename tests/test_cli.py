@@ -1,9 +1,14 @@
 import csv
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphshepard
 from sphshepard import load_csv
 from sphshepard.cli import main
 
@@ -106,6 +111,18 @@ def test_interpolate_at_nodes_reports_tiny_error(tmp_path, capsys):
     report_line = capsys.readouterr().out.strip().splitlines()[-1]
     rel = float(report_line.split()[0].split("=")[1])
     assert rel <= 1e-7
+
+
+def test_interpolate_all_zero_truth_is_data_error(tmp_path, capsys):
+    # RRMSE divides by the norm of the evaluation file's values.
+    nodes = write_node_file(tmp_path / "n.csv")
+    zero = tmp_path / "zero.csv"
+    zero.write_text("x,y,z,value\n1,0,0,0\n0,1,0,0\n0,0,1,0\n")
+    out = tmp_path / "o.csv"
+    assert run(["interpolate", "--nodes", nodes, "--eval", zero, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "data error: RRMSE is undefined: the truth values are all zero\n")
+    assert not out.exists()
 
 
 def test_interpolate_rejects_undersized_nz(tmp_path, capsys):
@@ -295,6 +312,16 @@ def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"data error: {cfg}: line 5: expected key=value, got 'nw 8'\n"
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    nodes = write_node_file(tmp_path / "n.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nz = 12\nnz = 99999\nnz = 14\n")
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes,
+                "--out", tmp_path / "o.csv", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"data error: {cfg}: line 2: key 'nz' repeats line 1\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     nodes = tmp_path / "n.csv"
     run(["generate", "random", "--n", 60, "--seed", 3, "--function", "f1", "--out", nodes])
@@ -334,6 +361,26 @@ def test_benchmark_small_grid(tmp_path):
     rrmses = [float(r.split(",")[5]) for r in sweep[1:]]
     assert all(np.isfinite(rrmses))
     assert (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_zero_after_writing_every_file(tmp_path, unbuffered):
+    # A reader such as `head` may exit before the command prints; the write
+    # to the closed pipe, at the print or at the flush, must not turn a
+    # finished run into a failure.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(sphshepard.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    out = tmp_path / "b"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sphshepard", "benchmark", "--n", "100",
+                               "--s", "30", "--seeds", "1", "--degrees=-1", "--out", str(out)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert all((out / name).exists() for name in ("benchmark.csv", "summary.txt", "gamma_sweep.csv"))
 
 
 def test_benchmark_fits_each_distinct_degree_once(tmp_path, capsys):

@@ -7,6 +7,7 @@ from sphshepard import (
     ConfigError,
     DataError,
     load_csv,
+    normalize,
     random_uniform_sphere,
     spiral_points,
     split_cross_validation,
@@ -46,6 +47,13 @@ def test_random_points_deterministic_per_seed():
     c = random_uniform_sphere(50, 8).points
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 7003, 41000])
+@pytest.mark.parametrize("n", [1, 600, 16000])
+def test_random_points_are_normalized_gaussians(seed, n):
+    want = normalize(np.random.default_rng(seed).standard_normal((n, 3)))
+    assert random_uniform_sphere(n, seed).points.tobytes() == want.tobytes()
 
 
 def test_random_rejects_nonpositive_n():
@@ -182,7 +190,7 @@ def test_load_drops_a_byte_order_mark(tmp_path):
 
 def test_load_skips_blank_rows(tmp_path):
     path = tmp_path / "blank.csv"
-    path.write_text("x,y,z\n\n1,0,0\n , ,\n0,1,0\n")
+    path.write_text("x,y,z\n\n1,0,0\n , ,\n,,,\n0,1,0\n")  # blank whatever its width
     data = load_csv(path)
     assert data.points.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     assert data.values is None
@@ -213,6 +221,19 @@ def test_load_rejects_zero_row(tmp_path):
     path.write_text("1,0,0,1.0\n0,0,0,2.0\n")
     with pytest.raises(DataError, match="line 2"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,y,z,value\n0.6,0.8,0,1\n0.6,,0.8,5\n0.8,,0.6,7\n", "line 3: field 2 is empty"),
+    ("1,0,0,\n0,1,0,\n", "line 1: field 4 is empty"),
+], ids=["middle-gap", "trailing-comma"])
+def test_load_rejects_an_empty_field(tmp_path, text, message):
+    # A first line whose non-empty fields are numbers is data, not a header.
+    path = tmp_path / "gap.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as caught:
+        load_csv(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_load_rejects_ragged_rows(tmp_path):

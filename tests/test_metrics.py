@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphshepard import error_report, rrmse
+from sphshepard import DataError, error_report, rrmse
 from sphshepard.metrics import UndefinedRelativeError
 
 
@@ -81,6 +81,13 @@ def test_rmse_never_exceeds_max_error():
         assert rep.rmse <= rep.max_abs_error + 1e-15
 
 
-def test_report_zero_truth_falls_back_to_rmse():
-    rep = error_report(np.array([3.0, 4.0]), np.zeros(2))
-    assert rep.rrmse == rep.rmse == pytest.approx(math.sqrt(12.5), abs=1e-14)
+def test_report_zero_truth_raises_undefined_relative_error():
+    with pytest.raises(UndefinedRelativeError, match="RRMSE is undefined") as caught:
+        error_report(np.array([3.0, 4.0]), np.zeros(2))
+    assert isinstance(caught.value, DataError)
+
+
+def test_report_rrmse_is_rrmse():
+    rng = np.random.default_rng(3)
+    p, t = rng.normal(size=40), rng.normal(size=40)
+    assert error_report(p, t).rrmse == rrmse(p, t)

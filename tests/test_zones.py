@@ -270,19 +270,14 @@ def test_batch_search_takes_few_rounds(monkeypatch):
     assert np.array_equal(found.ids[::20], ids) and np.array_equal(found.distances[::20], dists)
 
 
-def test_build_rejects_a_nan_z_coordinate():
-    nodes = rand_points(50, 33)
-    nodes[4, 2] = np.nan
-    with pytest.raises(DataError, match="point 4 has a NaN z"):
-        build_zones(nodes, 0.5)
-
-
-def test_nearest_over_a_nan_point_raises_data_error():
+@pytest.mark.parametrize("row", [[np.nan, 0.0, 0.5], [0.6, 0.0, np.nan], [np.inf, 0.0, 0.0],
+                                 [0.0, -np.inf, 0.0]], ids=["nan-x", "nan-z", "inf", "minus-inf"])
+def test_build_rejects_a_non_finite_point(row):
+    # Such a point has no strip or no longitude; the message names the first.
     nodes = rand_points(200, 30)
-    nodes[7] = [np.nan, 0.0, 0.5]
-    ix = build_zones(nodes, compute_delta(200, 15, 1))
-    with pytest.raises(DataError, match="center 0 has fewer than 200 points .* not finite"):
-        ix.nearest_m(rand_points(3, 31), 200)
+    nodes[7] = nodes[9] = row
+    with pytest.raises(DataError, match=r"^point 7 is not finite$"):
+        build_zones(nodes, compute_delta(200, 15, 1))
 
 
 def test_escalation_radius_saturates():
