@@ -13,10 +13,10 @@ benchmark    run an accuracy grid over (function, n, L, seed), write a table
 Each mode accepts only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, also where stdout closes early (a command prints
-after writing its files), 2 usage error (ConfigError), 3 data error, 4
-numerical failure.  Parameter precedence: command-line flags > config file
-(key=value lines, each key once) > the defaults of ShepardConfig; a config
-key the command does not read is a usage error.  ShepardConfig and
+after writing its files; so does --help), 2 usage error (ConfigError), 3
+data error, 4 numerical failure.  Parameter precedence: command-line flags >
+config file (key=value lines, each key once) > the defaults of ShepardConfig;
+a config key the command does not read is a usage error.  ShepardConfig and
 InverseMultiquadric check the parameter ranges.
 """
 
@@ -302,13 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors already
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse: 0 after --help, 2 for a usage error
+            code = int(exc.code or 0)
         sys.stdout.flush()  # a closed stdout then raises here, not at exit
         return code
     except BrokenPipeError:  # every file is written; stdout's flush at exit then goes to devnull

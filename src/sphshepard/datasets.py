@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -124,7 +123,8 @@ def load_csv(path, geo: bool = False) -> PointSet:
     other line is a header when one of its non-empty fields is not a number.
     Non-unit points are normalized.  An empty field, a point without finite,
     positive length (all coordinates zero or tiny, one too large to square,
-    inf or NaN) or a non-finite value raises DataError naming file and line.
+    inf or NaN) or a non-finite value raises DataError naming file and line,
+    and a file without data rows one naming the file.
     """
     coord_cols = 2 if geo else 3
     widths, header_allowed = (coord_cols, coord_cols + 1), True
@@ -168,8 +168,7 @@ def load_csv(path, geo: bool = False) -> PointSet:
                 raise DataError(f"value {row[-1]} is not finite", lineno, path)
             vals.append(nums[-1])
     if not pts:
-        warnings.warn(f"{path}: no data rows, returning an empty point set")
-        return PointSet(np.empty((0, 3)), None)
+        raise DataError("no data rows", path=path)
     return PointSet(np.frombuffer(pts).reshape(-1, 3), np.frombuffer(vals) if vals else None)
 
 

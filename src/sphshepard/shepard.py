@@ -156,11 +156,11 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
 
     nodes: finite, distinct unit vectors (3,) or (n, 3); values: n finite
     numbers.  Other input raises DataError; so do two nodes with exactly
-    equal coordinates, for every n_z.  A local system that misses
-    localfit.RTOL raises SolveError naming the lowest such node; under
-    ``strict=False`` its best attempt is kept, marked `missed`, and the fit
-    logs one warning.  The model keeps a copy of the nodes, and its arrays,
-    the index's included, are read-only.
+    equal coordinates, for every n_z.  A local system the solver marks `missed`
+    (no rung met localfit.RTOL) raises SolveError naming the lowest such node,
+    with no residual quoted; under ``strict=False`` its lowest-residual attempt
+    is kept and the fit logs one warning.  The model keeps a copy of the nodes,
+    and its arrays, the index's included, are read-only.
     """
     nodes = _unit_points(nodes, "node")
     values = _floats(values, "value").reshape(-1)
@@ -181,11 +181,9 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     a, b, path = solve_saddle_batch(config.kernel, config.degree, centers, values[neighbor_ids])
     missed = np.flatnonzero(path == PATH_MISSED)
     if missed.size and config.strict:
-        j, f = int(missed[0]), values[neighbor_ids[missed[0]]]
-        z = eval_local(config.kernel, config.degree, centers[j], a[j], b[j], centers[j])
-        raise SolveError(f"saddle-point solution misses tolerance {RTOL:g} (interpolation residual "
-                         f"{np.linalg.norm(z - f):.3e}, data norm {np.linalg.norm(f):.3e})",
-                         node_index=j)
+        raise SolveError("no rung of the retry ladder met the residual tolerance localfit.RTOL; "
+                         "ShepardConfig(strict=False) keeps the lowest-residual attempt",
+                         node_index=int(missed[0]))
     if missed.size:
         log.warning("%d of %d neighborhoods miss the residual tolerance %g; their "
                     "lowest-residual attempts are kept", missed.size, n, RTOL)

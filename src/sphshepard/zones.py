@@ -133,7 +133,8 @@ class ZoneIndex:
 
         Ties in distance break toward the lower original index.  The result
         matches a brute-force scan exactly: candidates are filtered with the
-        same clamped-arccos distance the scan would use.
+        same clamped-arccos distance the scan would use.  `center` must be a
+        unit vector (unchecked); off the sphere the result can differ.
         """
         if not 0.0 < radius <= np.pi:
             raise ValueError(f"radius must be in (0, pi], got {radius}")
@@ -148,6 +149,7 @@ class ZoneIndex:
         a stack of shape (p, 3), giving (p, m) arrays.  Each round searches
         every pending center at radius compute_delta(n, m, k), k = 2, 8, 32, ...,
         for n indexed points; DataError names the batch's lowest center short at pi.
+        Centers must be unit vectors (unchecked; `fit` and `evaluate` check theirs).
         """
         n_pts = self.points.shape[0]
         if m < 1 or m > n_pts:

@@ -211,6 +211,15 @@ def test_bad_row_error_names_its_file(tmp_path, capsys, kind, rows, message):
     assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
 
 
+def test_empty_eval_file_is_data_error(tmp_path, capsys):
+    nodes = write_node_file(tmp_path / "n.csv")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x,y,z\n")
+    assert run(["interpolate", "--nodes", nodes, "--eval", empty, "--out", tmp_path / "o.csv"]) == 3
+    assert capsys.readouterr().err == f"data error: {empty}: no data rows\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_unsolvable_neighborhood_is_numerical_failure(tmp_path, capsys):
     # gamma=0.05 is near the flat limit: node 4's strict local solve misses the tolerance.
     nodes = write_node_file(tmp_path / "n.csv", n=1000, seed=0)
@@ -363,24 +372,36 @@ def test_benchmark_small_grid(tmp_path):
     assert (out / "summary.txt").exists()
 
 
+def run_into_closed_pipe(args, unbuffered):
+    """Run `python -m sphshepard args` with stdout a pipe whose reader has closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(sphshepard.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        return subprocess.run([sys.executable, "-m", "sphshepard", *map(str, args)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_zero_after_writing_every_file(tmp_path, unbuffered):
     # A reader such as `head` may exit before the command prints; the write
     # to the closed pipe, at the print or at the flush, must not turn a
     # finished run into a failure.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(sphshepard.__file__).parents[1]),
-               PYTHONUNBUFFERED=unbuffered)
     out = tmp_path / "b"
-    try:
-        proc = subprocess.run([sys.executable, "-m", "sphshepard", "benchmark", "--n", "100",
-                               "--s", "30", "--seeds", "1", "--degrees=-1", "--out", str(out)],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
-    finally:
-        os.close(write_end)
+    proc = run_into_closed_pipe(["benchmark", "--n", 100, "--s", 30, "--seeds", 1,
+                                 "--degrees=-1", "--out", out], unbuffered)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert all((out / name).exists() for name in ("benchmark.csv", "summary.txt", "gamma_sweep.csv"))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["generate", "--help"]], ids=["help", "generate-help"])
+def test_help_into_closed_stdout_exits_zero(args, unbuffered):
+    proc = run_into_closed_pipe(args, unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_benchmark_fits_each_distinct_degree_once(tmp_path, capsys):

@@ -154,12 +154,14 @@ def test_load_normalizes_with_correctly_rounded_squares(tmp_path):
     assert load_csv(path).points.tolist() == [[x / norm, y / norm, z / norm]]
 
 
-def test_load_empty_file_warns(tmp_path):
+@pytest.mark.parametrize("text", ["", "x,y,z,value\n", "\n,,\n \n"],
+                         ids=["empty", "header-only", "blank-rows"])
+def test_load_file_without_data_rows_is_a_data_error(tmp_path, text):
     path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.warns(UserWarning):
-        data = load_csv(path)
-    assert len(data) == 0
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: no data rows"
 
 
 def test_load_header_optional(tmp_path):
