@@ -13,16 +13,16 @@ system
 
 With no harmonics (L = -1) Y is an empty block of U = 0 columns.
 
-Neighborhoods are solved SOLVE_CHUNK at a time: a chunk's systems are
-assembled, solved once by batched dense LU with partial pivoting and checked
-against the interpolation and moment tolerances, both read off one residual
-rhs - M sol; with two CPUs and two chunks or more, one worker thread takes
-the odd chunks (results are byte-identical).  On dense node sets the kernel
-block is nearly flat and its condition number can pass 1/eps, so the chunk's
-neighborhoods that miss the check climb a retry ladder.  After refinement,
-each rescue rung solves the rows still failing and keeps its answer only
-where it lowers the full residual; a row a rung cannot solve comes back
-NaN, which never does:
+Neighborhoods are solved SOLVE_CHUNK at a time: a chunk gathers its points
+and data through the neighbor ids, then its systems are assembled, solved
+once by batched dense LU with partial pivoting and checked against the
+interpolation and moment tolerances, both read off one residual rhs - M sol;
+with two CPUs and two chunks or more, one worker thread takes the odd chunks
+(results are byte-identical).  On dense node sets the kernel block is nearly
+flat and its condition number can pass 1/eps, so the chunk's neighborhoods
+that miss the check climb a retry ladder.  After refinement, each rescue
+rung solves the rows still failing and keeps its answer only where it lowers
+the full residual; a row a rung cannot solve comes back NaN, which never does:
 
     refined   keep-best iterative refinement of the LU solution; each step
               runs only on the rows the step before improved;
@@ -237,17 +237,18 @@ def _saddle_systems(kernel, degree, pts, vals):
     return M, rhs
 
 
-def solve_saddle_batch(kernel, degree, pts, vals):
+def solve_saddle_batch(kernel, degree, pts, vals, ids=None):
     """Solve the saddle-point systems of many equally-sized neighborhoods.
 
-    pts: (n, m, 3) neighborhoods, vals: (n, m) data.  Returns (a, b, path)
-    with shapes (n, m), (n, U), (n,); `path` holds each neighborhood's
-    PATH_* code (uint8).  A neighborhood that no rung brings within the
+    Neighborhood i is pts[ids[i]] of pts (N, 3), with data vals[ids[i]] of vals
+    (N,); each chunk gathers its own.  Without ids, pts (n, m, 3) and vals (n, m)
+    are the neighborhoods.  Returns a (n, m), b (n, U) and path (n,), each
+    neighborhood's PATH_* code (uint8); one that no rung brings within the
     tolerances keeps its lowest-residual attempt, marked PATH_MISSED.
     """
-    pts = np.asarray(pts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    n, m = vals.shape
+    pts, vals = np.asarray(pts, dtype=float).reshape(-1, 3), np.asarray(vals, dtype=float)
+    ids = np.arange(vals.size).reshape(vals.shape) if ids is None else ids
+    n, m = ids.shape
     sol = np.empty((n, m + harmonics.sh_dim(degree)))
     path = np.full(n, PATH_LU, dtype=np.uint8)
     workers = min(SOLVE_WORKERS, max(1, -(-n // SOLVE_CHUNK)))
@@ -257,7 +258,7 @@ def solve_saddle_batch(kernel, degree, pts, vals):
         for lo in range(start * SOLVE_CHUNK, n, workers * SOLVE_CHUNK):
             rows = slice(lo, lo + SOLVE_CHUNK)
             chunk_path = path[rows]
-            M, rhs = _saddle_systems(kernel, degree, pts[rows], vals[rows])
+            M, rhs = _saddle_systems(kernel, degree, pts[ids[rows]], np.take(vals, ids[rows]))
             x = _lu_solve(M, rhs)
             fail = ~_residuals(M, rhs, x, m)[1]
             if fail.any():

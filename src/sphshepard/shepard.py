@@ -43,9 +43,9 @@ COINCIDENCE_TOL = 1e-12
 # distance from the chord, which is exact at zero separation.
 _CHORD_RECOMPUTE = 1e-6
 
-# Evaluation points blended per step; bounds the (points, n_w, n_z, 3)
-# gather of the local fits' centers.
-EVAL_CHUNK = 1024
+# Evaluation points blended per step: a step's temporaries (~9 kB a point) stay small
+# enough that glibc does not trim them from the heap and fault them back on every call.
+EVAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,10 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     and its arrays, the index's included, are read-only.
     """
     nodes = _unit_points(nodes, "node")
-    values = _floats(values, "value").reshape(-1)
+    values = _floats(values, "value")
     n = nodes.shape[0]
-    if values.shape[0] != n:
-        raise DataError(f"got {n} nodes but {values.shape[0]} values")
+    if values.ndim > 1 or values.size != n:
+        raise DataError(f"got {n} nodes but {values.size} values of shape {values.shape}")
     if n < config.n_z:
         raise ConfigError(f"need at least n_z={config.n_z} nodes, got {n}")
     bad = ~np.isfinite(values)
@@ -177,8 +177,7 @@ def fit(nodes, values, config: ShepardConfig) -> ShepardModel:
     index = build_zones(nodes, compute_delta(n, config.n_z, 1))
     nodes = index.points
     neighbor_ids = index.nearest_m(nodes, config.n_z).ids
-    centers = np.take(nodes, neighbor_ids, axis=0)
-    a, b, path = solve_saddle_batch(config.kernel, config.degree, centers, values[neighbor_ids])
+    a, b, path = solve_saddle_batch(config.kernel, config.degree, nodes, values, neighbor_ids)
     missed = np.flatnonzero(path == PATH_MISSED)
     if missed.size and config.strict:
         raise SolveError("no rung of the retry ladder met the residual tolerance localfit.RTOL; "

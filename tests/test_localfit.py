@@ -146,11 +146,16 @@ def test_consistent_duplicate_nodes_use_fallback():
 # ------------------------------------------------------------------ retry ladder
 
 
-def neighborhoods(n, seed):
-    """The 15-nearest neighborhood of every node of a random cloud, with data."""
+def cloud(n, seed):
+    """A random cloud of nodes with data, and the ids of each node's 15 nearest."""
     nodes = rand_points(n, seed)
     ids = np.argsort(-(nodes @ nodes.T), axis=1, kind="stable")[:, :15]
-    values = np.exp(nodes[:, 2]) + nodes[:, 0]
+    return nodes, np.exp(nodes[:, 2]) + nodes[:, 0], ids
+
+
+def neighborhoods(n, seed):
+    """The 15-nearest neighborhood of every node of a random cloud, with data."""
+    nodes, values, ids = cloud(n, seed)
     return nodes[ids], values[ids]
 
 
@@ -274,10 +279,12 @@ def test_ladder_results_do_not_depend_on_chunk_size(monkeypatch, degree):
         monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
         assembled.clear()
         results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals))
-        assert max(len(p) for p in assembled) <= chunk
-        # Chunks may be assembled out of order on two threads; each is a view of pts.
-        assembled.sort(key=lambda p: p.ctypes.data)
-        assert np.array_equal(np.concatenate(assembled), pts)
+        # Chunks may be assembled out of order on two threads, and each is a
+        # gathered copy: it equals exactly one slice of pts, and every slice
+        # is assembled once.
+        slices = [pts[lo : lo + chunk] for lo in range(0, len(pts), chunk)]
+        matches = [[k for k, sl in enumerate(slices) if np.array_equal(p, sl)] for p in assembled]
+        assert sorted(matches) == [[k] for k in range(len(slices))]
     whole, chunked = results
     assert np.count_nonzero(whole[2] != localfit.PATH_LU) > 7
     for x, y in zip(whole, chunked):
@@ -535,7 +542,11 @@ def test_strict_error_names_lowest_missing_neighborhood(monkeypatch, chunk):
 @pytest.mark.parametrize("chunk", [256, 7, 1024])
 @pytest.mark.parametrize("degree", [-1, 2])
 def test_two_solve_threads_give_the_one_thread_results(monkeypatch, degree, chunk):
-    pts, vals = neighborhoods(1000, 0)
+    # On one thread or two, the nodes, values and ids of a cloud and the
+    # neighborhoods gathered from them give the bytes of the one-thread
+    # gathered solve.
+    nodes, values, ids = cloud(1000, 0)
+    pts, vals = nodes[ids], values[ids]
     monkeypatch.setattr(localfit, "SOLVE_CHUNK", chunk)
     threads = set()
     saddle_systems = localfit._saddle_systems
@@ -549,18 +560,21 @@ def test_two_solve_threads_give_the_one_thread_results(monkeypatch, degree, chun
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so that a shared write would show
     try:
-        for workers in (1, 2):
-            monkeypatch.setattr(localfit, "SOLVE_WORKERS", workers)
-            threads.clear()
-            results.append(localfit.solve_saddle_batch(FLAT, degree, pts, vals))
-            # The caller and one worker thread, but no worker for one chunk.
-            assert len(threads) == min(workers, math.ceil(len(pts) / chunk))
+        for inputs in ((nodes, values, ids), (pts, vals)):
+            for workers in (1, 2):
+                monkeypatch.setattr(localfit, "SOLVE_WORKERS", workers)
+                threads.clear()
+                results.append(localfit.solve_saddle_batch(FLAT, degree, *inputs))
+                # The caller and one worker thread, but no worker for one chunk.
+                assert len(threads) == min(workers, math.ceil(len(pts) / chunk))
     finally:
         sys.setswitchinterval(switch)
-    one, two = results
-    assert np.count_nonzero(one[2] != localfit.PATH_LU) > 7
-    for x, y in zip(one, two):
-        assert x.tobytes() == y.tobytes()
+    want = results[2]  # the gathered neighborhoods on one thread
+    # This flat-limit cloud reaches every rung of the ladder.
+    assert np.bincount(want[2], minlength=5).all()
+    for got in results:
+        for x, y in zip(want, got):
+            assert x.tobytes() == y.tobytes()
 
 
 def test_solve_threads_follow_the_cpus(monkeypatch):

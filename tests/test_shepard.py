@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +106,17 @@ def test_length_mismatch_rejected():
         fit(rand_points(50, 0), np.zeros(49), ShepardConfig())
 
 
+@pytest.mark.parametrize("shape", [(5, 10), (50, 1)])
+def test_values_with_more_than_one_axis_rejected(shape):
+    with pytest.raises(DataError, match=re.escape(f"50 nodes but 50 values of shape {shape}")):
+        fit(rand_points(50, 0), np.zeros(shape), ShepardConfig())
+
+
+def test_one_node_takes_a_scalar_value():
+    model = fit([0.0, 0.0, 1.0], 2.5, ShepardConfig(n_z=1, n_w=1))
+    assert evaluate(model, [0.0, 0.0, 1.0]) == pytest.approx([2.5], rel=1e-14)
+
+
 def test_fit_names_a_duplicate_node():
     nodes = rand_points(1000, 40)
     nodes[6] = nodes[5]
@@ -145,6 +159,22 @@ def test_fit_names_a_duplicate_beside_a_node_within_rounding(n_z):
     nodes = np.vstack([random_uniform_sphere(50, 3).points, j, j, k])
     with pytest.raises(DataError, match="nodes 50 and 51 have equal coordinates"):
         fit(nodes, np.arange(53.0), ShepardConfig(n_z=n_z, n_w=3, degree=-1))
+
+
+def test_fit_holds_no_whole_neighborhood_copy():
+    # The solve gathers each chunk's neighborhoods from the nodes through the
+    # ids; one (n, n_z, 3) copy of them all would take the peak past the bound.
+    nodes = random_uniform_sphere(20000, 1).points
+    values = np.exp(nodes[:, 2]) + nodes[:, 0]
+    config = ShepardConfig(degree=-1, strict=False)  # a dense cloud: some rows miss
+    gathered = nodes.shape[0] * config.n_z * nodes.itemsize * 3
+    tracemalloc.start()
+    try:
+        fit(nodes, values, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * gathered
 
 
 def test_fit_with_one_node_rows():
