@@ -5,7 +5,8 @@ Subcommands
 generate     write a node/evaluation CSV: `random` (--n, --seed, --function),
              `spiral` (--n, --function) or `geomagnetic-synth` (--n, --seed,
              --noise), each with --out; the flags follow the kind
-interpolate  fit a model to a node file and evaluate it on an evaluation file
+interpolate  fit a model to a node file and evaluate it on an evaluation file;
+             --no-strict keeps a local fit that misses the residual tolerance
 benchmark    run an accuracy grid over (function, n, L, seed), write a table
              CSV, a shape-parameter sweep CSV, and a median summary; with
              --nodes, cross-validate a file instead (--holdout, --geo)
@@ -84,7 +85,8 @@ def _resolve_config(args) -> shepard.ShepardConfig:
             raise ConfigError(f"config value {key} = {text!r} is not a valid {kind.__name__}") from None
     values.update((key, getattr(args, key)) for key in values if getattr(args, key, None) is not None)
     return replace(base, n_z=values["nz"], n_w=values["nw"],
-                   kernel=InverseMultiquadric(values["gamma"]), degree=values["degree"])
+                   kernel=InverseMultiquadric(values["gamma"]), degree=values["degree"],
+                   strict=not getattr(args, "no_strict", False))  # only interpolate has the flag
 
 
 def cmd_generate(args) -> int:
@@ -278,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--nodes", required=True, help="node CSV with values")
     p_int.add_argument("--eval", required=True, help="evaluation-point CSV")
     p_int.add_argument("--out", required=True, help="output CSV (x,y,z,F)")
+    p_int.add_argument("--no-strict", action="store_true",
+                       help="keep the lowest-residual attempt of a local fit that misses the "
+                            "residual tolerance, and warn, instead of exiting with code 4")
     p_int.set_defaults(func=cmd_interpolate)
 
     p_bench = sub.add_parser("benchmark", parents=[common],

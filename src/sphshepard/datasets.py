@@ -47,15 +47,24 @@ def random_uniform_sphere(n: int, seed: int) -> PointSet:
 
 
 def spiral_points(s: int) -> PointSet:
-    """s spiral points from the south pole to the north pole."""
+    """s spiral points from the south pole to the north pole.
+
+    The azimuth stays a loop: each step reduces mod 2*pi, and a cumulative
+    sum reduced once would round differently.  The loop runs on Python
+    floats, whose + and % are the same IEEE operations as numpy's, without
+    a numpy scalar per point.
+    """
     if s < 2:
         raise ConfigError(f"a spiral needs s >= 2 points, got {s}")
     z = -1.0 + 2.0 * np.arange(s) / (s - 1)
     sin_theta = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
-    phi = np.zeros(s)
-    step = 3.6 / math.sqrt(s)
-    for k in range(1, s - 1):
-        phi[k] = (phi[k - 1] + step / sin_theta[k]) % (2.0 * np.pi)
+    step, two_pi = 3.6 / math.sqrt(s), 2.0 * math.pi
+    phi, angle = [0.0], 0.0
+    for inc in (step / sin_theta[1:-1]).tolist():
+        angle = (angle + inc) % two_pi
+        phi.append(angle)
+    phi.append(0.0)  # the north pole
+    phi = np.array(phi)
     pts = np.stack([np.cos(phi) * sin_theta, np.sin(phi) * sin_theta, z], axis=-1)
     return PointSet(pts)
 

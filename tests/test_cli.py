@@ -228,6 +228,31 @@ def test_unsolvable_neighborhood_is_numerical_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: neighborhood of node 4: ")
 
 
+def test_no_strict_keeps_missed_fits_and_warns(tmp_path):
+    # The file of the test above: --no-strict writes the output and fit's one warning.
+    nodes, out = write_node_file(tmp_path / "n.csv", n=1000, seed=0), tmp_path / "o.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(sphshepard.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "sphshepard", "interpolate", "--nodes", str(nodes),
+                           "--eval", str(nodes), "--out", str(out), "--gamma", "0.05",
+                           "--no-strict"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert len(load_csv(out)) == 1000
+    assert done.stderr == ("95 of 1000 neighborhoods miss the residual tolerance 1e-08; "
+                           "their lowest-residual attempts are kept\n")
+
+
+def test_no_strict_is_not_a_benchmark_flag_or_a_config_key(tmp_path, capsys):
+    nodes = write_node_file(tmp_path / "n.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text("no_strict = 1\n")
+    assert run(["benchmark", "--no-strict", "--out", tmp_path / "b"]) == 2
+    assert run(["interpolate", "--nodes", nodes, "--eval", nodes, "--out", tmp_path / "o.csv",
+                "--config", config]) == 2
+    assert "config key 'no_strict' is not read by interpolate" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists() and not (tmp_path / "o.csv").exists()
+
+
 def test_interpolate_geo_mode(tmp_path):
     nodes = tmp_path / "geo.csv"
     lat = np.linspace(-80, 80, 40)

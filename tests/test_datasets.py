@@ -52,7 +52,8 @@ def test_random_points_deterministic_per_seed():
 @pytest.mark.parametrize("seed", [0, 7003, 41000])
 @pytest.mark.parametrize("n", [1, 600, 16000])
 def test_random_points_are_normalized_gaussians(seed, n):
-    want = normalize(np.random.default_rng(seed).standard_normal((n, 3)))
+    g = np.random.default_rng(seed).standard_normal((n, 3))
+    want = g / np.linalg.norm(g, axis=-1, keepdims=True)
     assert random_uniform_sphere(n, seed).points.tobytes() == want.tobytes()
 
 
@@ -90,6 +91,22 @@ def test_spiral_quasi_uniformity():
     med = np.median(nn)
     assert np.all(nn >= 0.5 * med)
     assert np.all(nn <= 2.0 * med)
+
+
+def numpy_scalar_spiral(s):
+    """The spiral's recurrence stepped through numpy scalars, one per point."""
+    z = -1.0 + 2.0 * np.arange(s) / (s - 1)
+    sin_theta = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
+    phi = np.zeros(s)
+    step = 3.6 / math.sqrt(s)
+    for k in range(1, s - 1):
+        phi[k] = (phi[k - 1] + step / sin_theta[k]) % (2.0 * np.pi)
+    return np.stack([np.cos(phi) * sin_theta, np.sin(phi) * sin_theta, z], axis=-1)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 600, 601, 10007])
+def test_spiral_matches_the_numpy_scalar_recurrence_bit_for_bit(s):
+    assert spiral_points(s).points.tobytes() == numpy_scalar_spiral(s).tobytes()
 
 
 def test_spiral_reproducible():

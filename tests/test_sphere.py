@@ -23,11 +23,42 @@ def test_normalize_rejects_vectors_of_another_length():
         normalize([1.0, 2.0])
 
 
+def linalg_normalized(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def gaussian_rows(*shape):
+    return np.random.default_rng(sum(shape)).standard_normal((*shape, 3))
+
+
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError):
         normalize([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         normalize(np.array([[1.0, 0, 0], [0, 0, 0]]))
+    tiny = gaussian_rows(500) * 1e-200  # every square underflows to 0, as in np.linalg.norm
+    assert not np.linalg.norm(tiny, axis=-1).any()
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize(tiny)
+
+
+@pytest.mark.parametrize("v", [
+    gaussian_rows(), gaussian_rows(1000), gaussian_rows(7, 11), gaussian_rows(300, 4)[::3, 1],
+], ids=["(3,)", "(n, 3)", "(a, b, 3)", "strided"])
+def test_normalize_equals_dividing_by_linalg_norm_bit_for_bit(v):
+    assert normalize(v).tobytes() == linalg_normalized(v).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e150, 1e200])
+def test_normalize_matches_linalg_norm_where_squares_lose_range(scale):
+    # 1e-160: squares are subnormal; 1e150: their sum is near the top of the
+    # range; 1e200: they overflow to inf, so every coordinate becomes 0.
+    v = gaussian_rows(500) * scale
+    with np.errstate(over="ignore"):
+        got, want = normalize(v), linalg_normalized(v)
+    assert got.tobytes() == want.tobytes()
+    if scale == 1e200:
+        assert not got.any()
 
 
 def test_normalize_batch_unit_norm():
