@@ -110,7 +110,11 @@ def cmd_interpolate(args) -> int:
     if nodes.values is None:
         raise DataError(f"node file {args.nodes} carries no data values")
     eval_set = datasets.load_csv(args.eval, geo=args.geo)
-    model = shepard.fit(nodes.points, nodes.values, config)
+    try:
+        model = shepard.fit(nodes.points, nodes.values, config)
+    except SolveError as exc:  # a strict miss; the library's message names its own route
+        raise SolveError("no rung of the retry ladder met the residual tolerance; --no-strict "
+                         "keeps the lowest-residual attempt", exc.node_index) from None
     predicted = shepard.evaluate(model, eval_set.points)
     # Scored first, so an undefined RRMSE leaves no output file.
     rep = None if eval_set.values is None else metrics.error_report(predicted, eval_set.values)

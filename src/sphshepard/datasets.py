@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harmonics
 from .errors import ConfigError, DataError
-from .sphere import geodesic_distance, normalize
+from .sphere import geodesic_distance, normalize, unit_lengths
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,12 @@ def load_csv(path, geo: bool = False) -> PointSet:
     (``geo=True``): rows ``lat,lon`` or ``lat,lon,value`` in degrees, with
     |lat| <= 90 and a finite lon.  Rows of empty fields are skipped; the first
     other line is a header when one of its non-empty fields is not a number.
-    Non-unit points are normalized.  An empty field, a point without finite,
-    positive length (all coordinates zero or tiny, one too large to square,
-    inf or NaN) or a non-finite value raises DataError naming file and line,
-    and a file without data rows one naming the file.
+    Rows that are unit vectors by `sphere.unit_lengths` (length within
+    NORM_TOL of 1) are kept as read; any other point is normalized.  An
+    empty field, a point without finite, positive length (all coordinates
+    zero or tiny, one too large to square, inf or NaN) or a non-finite value
+    raises DataError naming file and line, and a file without data rows one
+    naming the file.
     """
     coord_cols = 2 if geo else 3
     widths, header_allowed = (coord_cols, coord_cols + 1), True
@@ -171,14 +173,18 @@ def load_csv(path, geo: bool = False) -> PointSet:
             if not 0.0 < norm < math.inf:  # a NaN fails too
                 raise DataError(f"point length {norm!r} is not finite and positive, "
                                 "so it cannot be normalized", lineno, path)
-            pts.extend((x / norm, y / norm, z / norm))
+            pts.extend((x, y, z))
         if len(row) > coord_cols:
             if not math.isfinite(nums[-1]):
                 raise DataError(f"value {row[-1]} is not finite", lineno, path)
             vals.append(nums[-1])
     if not pts:
         raise DataError("no data rows", path=path)
-    return PointSet(np.frombuffer(pts).reshape(-1, 3), np.frombuffer(vals) if vals else None)
+    points = np.frombuffer(pts).reshape(-1, 3)
+    off = unit_lengths(points)[1]
+    if off is not None:
+        points[off] = normalize(points[off])
+    return PointSet(points, np.frombuffer(vals) if vals else None)
 
 
 def _csv_rows(path):

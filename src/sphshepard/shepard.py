@@ -30,7 +30,7 @@ from . import harmonics
 from .errors import ConfigError, DataError, SolveError
 from .kernels import InverseMultiquadric
 from .localfit import PATH_LSTSQ, PATH_MISSED, RTOL, eval_local, solve_saddle_batch
-from .sphere import NORM_TOL
+from .sphere import NORM_TOL, unit_lengths
 from .zones import ZoneIndex, build_zones, compute_delta
 
 log = logging.getLogger(__name__)
@@ -123,21 +123,20 @@ def _floats(x, what: str) -> np.ndarray:
 def _unit_points(points, what: str) -> np.ndarray:
     """`points` as a (p, 3) array, checked to be finite unit vectors.
 
-    Accepts one point (3,) or a stack (p, 3) whose rows have length 1 within
-    NORM_TOL; otherwise raises DataError naming the first offending row.
+    Accepts one point (3,) or a stack (p, 3) whose rows are unit by
+    `sphere.unit_lengths`; otherwise raises DataError naming the first
+    offending row.
     """
     pts = _floats(points, what)
     if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
         raise DataError(f"{what}s must have shape (3,) or (p, 3), got {pts.shape}")
     pts = pts.reshape(-1, 3)
-    # einsum does not warn on overflow: a huge row gets length inf.
-    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    off = np.abs(norms - 1.0)
-    if not off.max(initial=0.0) <= NORM_TOL:  # a NaN fails the comparison too
-        i = int(np.argmax(~(off <= NORM_TOL)))
+    lengths, off = unit_lengths(pts)
+    if off is not None:
+        i = int(np.argmax(off))  # the first row that is not unit
         if not np.all(np.isfinite(pts[i])):
             raise DataError(f"{what} {i} is not finite")
-        raise DataError(f"{what} {i} has length {norms[i]!r}, not 1 within {NORM_TOL:g}")
+        raise DataError(f"{what} {i} has length {lengths[i]!r}, not 1 within {NORM_TOL:g}")
     return pts
 
 

@@ -4,6 +4,11 @@ Points live in Cartesian coordinates as unit 3-vectors, either a single
 shape ``(3,)`` array or a stack of shape ``(n, 3)``.  All formulas downstream
 (dot products, z-sorting) are Cartesian-native, so nothing here converts to
 latitude/longitude.
+
+One rule, `unit_lengths`, says which rows are unit vectors, for arrays and
+files alike: a row whose length sqrt(einsum("ij,ij->i")) lies within
+NORM_TOL of 1.  `fit` and `evaluate` accept only such rows; `load_csv`
+keeps them as read and normalizes the others.
 """
 
 from __future__ import annotations
@@ -11,6 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 NORM_TOL = 1e-12
+
+
+def unit_lengths(v) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each row's length, and a mask of the rows not unit by the module's rule.
+
+    The mask is None when every row is unit, so that common case costs one
+    reduction and no mask.  einsum does not warn on overflow: a row too large
+    to square gets length inf, and an inf or NaN length is not unit.
+    """
+    lengths = np.sqrt(np.einsum("ij,ij->i", v, v))
+    dev = np.abs(lengths - 1.0)
+    if dev.max(initial=0.0) <= NORM_TOL:  # a NaN fails the comparison
+        return lengths, None
+    return lengths, ~(dev <= NORM_TOL)
 
 
 def normalize(v) -> np.ndarray:

@@ -225,7 +225,9 @@ def test_unsolvable_neighborhood_is_numerical_failure(tmp_path, capsys):
     nodes = write_node_file(tmp_path / "n.csv", n=1000, seed=0)
     assert run(["interpolate", "--nodes", nodes, "--eval", nodes, "--out", tmp_path / "o.csv",
                 "--gamma", 0.05]) == 4
-    assert capsys.readouterr().err.startswith("numerical failure: neighborhood of node 4: ")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: neighborhood of node 4: ")
+    assert "--no-strict" in err and "ShepardConfig" not in err  # the route the command offers
 
 
 def test_no_strict_keeps_missed_fits_and_warns(tmp_path):
@@ -238,8 +240,22 @@ def test_no_strict_keeps_missed_fits_and_warns(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert len(load_csv(out)) == 1000
-    assert done.stderr == ("95 of 1000 neighborhoods miss the residual tolerance 1e-08; "
+    assert done.stderr == ("93 of 1000 neighborhoods miss the residual tolerance 1e-08; "
                            "their lowest-residual attempts are kept\n")
+
+
+def test_interpolate_gives_the_library_numbers_for_a_generated_file(tmp_path):
+    # The file's rows are unit vectors, so they load as written and the fit is the library's.
+    nodes, spiral, out = tmp_path / "n.csv", tmp_path / "s.csv", tmp_path / "o.csv"
+    write_node_file(nodes, n=2000, seed=0)
+    assert run(["generate", "spiral", "--n", 300, "--out", spiral]) == 0
+    assert run(["interpolate", "--nodes", nodes, "--eval", spiral, "--out", out,
+                "--degree", 2]) == 0
+    points = sphshepard.random_uniform_sphere(2000, 0).points
+    model = sphshepard.fit(points, sphshepard.test_function("f1", points),
+                           sphshepard.ShepardConfig(degree=2))
+    expected = sphshepard.evaluate(model, sphshepard.spiral_points(300).points)
+    assert load_csv(out).values.tobytes() == expected.tobytes()
 
 
 def test_no_strict_is_not_a_benchmark_flag_or_a_config_key(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from sphshepard import (
     ConfigError,
     DataError,
+    ShepardConfig,
+    fit,
     load_csv,
     normalize,
     random_uniform_sphere,
@@ -16,6 +18,7 @@ from sphshepard import (
 )
 from sphshepard import datasets, harmonics
 from sphshepard.datasets import PointSet
+from sphshepard.sphere import NORM_TOL
 
 
 # ------------------------------------------------------------ random points
@@ -171,6 +174,27 @@ def test_load_normalizes_with_correctly_rounded_squares(tmp_path):
     assert load_csv(path).points.tolist() == [[x / norm, y / norm, z / norm]]
 
 
+def test_load_keeps_exactly_the_rows_fit_accepts(tmp_path):
+    # Rows within NORM_TOL of unit length load as written; the others load
+    # with normalize's bits, and fit refuses each of them as written.
+    unit = random_uniform_sphere(40, 5).points
+    scale = np.tile([1 - 0.5 * NORM_TOL, 1 + 0.5 * NORM_TOL, 1 - 2 * NORM_TOL, 1 + 2 * NORM_TOL], 10)
+    raw, values = unit * scale[:, None], datasets.test_function("f1", unit)
+    path = tmp_path / "near.csv"
+    write_csv(path, PointSet(raw, values))
+    back = load_csv(path).points
+    kept = np.abs(scale - 1.0) < NORM_TOL
+    assert np.array_equal(back[kept], raw[kept])
+    assert np.array_equal(back[~kept], normalize(raw[~kept]))
+    assert not np.array_equal(back[~kept], raw[~kept])
+    fit(back, values, ShepardConfig())
+    for i in np.flatnonzero(~kept):
+        nodes = back.copy()
+        nodes[i] = raw[i]
+        with pytest.raises(DataError, match=f"^node {i} has length "):
+            fit(nodes, values, ShepardConfig())
+
+
 @pytest.mark.parametrize("text", ["", "x,y,z,value\n", "\n,,\n \n"],
                          ids=["empty", "header-only", "blank-rows"])
 def test_load_file_without_data_rows_is_a_data_error(tmp_path, text):
@@ -282,8 +306,7 @@ def test_write_load_round_trip(tmp_path):
     path = tmp_path / "rt.csv"
     write_csv(path, data)
     back = load_csv(path)
-    # re-normalization on load may flip the last bit of each coordinate
-    assert np.max(np.abs(back.points - data.points)) <= 5e-16
+    assert np.array_equal(back.points, data.points)  # unit rows load as written
     assert np.array_equal(back.values, data.values)
 
 
