@@ -1,17 +1,18 @@
-"""Command-line interface: generate point sets, interpolate files, benchmark.
+"""Command-line interface: generate point sets, interpolate files, benchmark, cross-validate.
 
 Subcommands
 -----------
-generate     write a node/evaluation CSV: `random` (--n, --seed, --function),
-             `spiral` (--n, --function) or `geomagnetic-synth` (--n, --seed,
-             --noise), each with --out; the flags follow the kind
-interpolate  fit a model to a node file and evaluate it on an evaluation file;
-             --no-strict keeps a local fit that misses the residual tolerance
-benchmark    run an accuracy grid over (function, n, L, seed), write a table
-             CSV, a shape-parameter sweep CSV, and a median summary; with
-             --nodes, cross-validate a file instead (--holdout, --geo)
+generate       write a node/evaluation CSV: `random` (--n, --seed, --function),
+               `spiral` (--n, --function) or `geomagnetic-synth` (--n, --seed,
+               --noise), each with --out; the flags follow the kind
+interpolate    fit a model to a node file and evaluate it on an evaluation file;
+               --no-strict keeps a local fit that misses the residual tolerance
+benchmark      run an accuracy grid over (function, n, L, seed), write a table
+               CSV, a shape-parameter sweep CSV, and a median summary
+crossvalidate  hold out --holdout rows of a node file per seed, fit the rest,
+               and write the same table and summary
 
-Each mode accepts only the flags it reads; any other is a usage error.
+Each command accepts only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, also where stdout closes early (a command prints
 after writing its files; so does --help), 2 usage error (ConfigError), 3
@@ -141,51 +142,48 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _bench_cases(args, n_z, seeds):
-    """Yield the benchmark's input sets as (label, seed, s, nodes, values, eval_pts, truth).
+def _grid_cases(args, n_z, seeds):
+    """Yield one random node set per function x n x seed, scored at --s spiral
+    points, as (label, seed, s, nodes, values, eval_pts, truth).
 
-    With --nodes, one cross-validation split of the file per seed, holding
-    out --holdout rows.  Otherwise one random node set per function x n x
-    seed, scored at --s spiral points.  A repeated --n or --function value
-    adds no case.
+    A repeated --n or --function value adds no case.
     """
-    file_mode = args.nodes is not None
-    for name in ("function", "n", "s", "no_gamma_sweep") if file_mode else ("holdout", "geo"):
-        if getattr(args, name) is not None:  # argparse cannot see the mode
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} is {'not read' if file_mode else 'read only'} with --nodes")
-    if file_mode:
-        holdout = 200 if args.holdout is None else args.holdout
-        data = datasets.load_csv(args.nodes, geo=args.geo)
-        if data.values is None:
-            raise DataError(f"node file {args.nodes} carries no data values")
-        if not 1 <= holdout < len(data):
-            raise ConfigError(f"file benchmarks need 1 <= --holdout < {len(data)} "
-                              f"(the rows of {args.nodes}), got {holdout}")
-        for seed in seeds:
-            train, test = datasets.split_cross_validation(data, holdout, seed)
-            yield (Path(args.nodes).stem, seed, holdout,
-                   train.points, train.values, test.points, test.values)
-        return
-    s = 600 if args.s is None else args.s
-    n_text = "1000,4000" if args.n is None else args.n
-    eval_pts = datasets.spiral_points(s).points
-    ns = list(dict.fromkeys(_int_list(n_text)))
+    eval_pts = datasets.spiral_points(args.s).points
+    ns = list(dict.fromkeys(_int_list(args.n)))
     if not ns or min(ns) < n_z:
-        raise ConfigError(f"every --n must be >= n_z={n_z}, got {n_text!r}")
+        raise ConfigError(f"every --n must be >= n_z={n_z}, got {args.n!r}")
     for fid in dict.fromkeys(args.function or ["f1"]):
         truth = datasets.test_function(fid, eval_pts)
         for n in ns:
             for seed in seeds:
                 nodes = datasets.random_uniform_sphere(n, seed).points
-                yield fid, seed, s, nodes, datasets.test_function(fid, nodes), eval_pts, truth
+                yield fid, seed, args.s, nodes, datasets.test_function(fid, nodes), eval_pts, truth
+
+
+def _file_cases(args, n_z, seeds):
+    """Yield `_grid_cases`'s tuple for one split of --nodes per seed (n_z is not read)."""
+    data = datasets.load_csv(args.nodes, geo=args.geo)
+    if data.values is None:
+        raise DataError(f"node file {args.nodes} carries no data values")
+    if not 1 <= args.holdout < len(data):
+        raise ConfigError(f"file benchmarks need 1 <= --holdout < {len(data)} "
+                          f"(the rows of {args.nodes}), got {args.holdout}")
+    for seed in seeds:
+        train, test = datasets.split_cross_validation(data, args.holdout, seed)
+        yield (Path(args.nodes).stem, seed, args.holdout,
+               train.points, train.values, test.points, test.values)
 
 
 def _bench_row(case, config) -> dict:
     """One benchmark.csv row: fit the case's nodes, evaluate at its points, score."""
     label, seed, s, nodes, values, eval_pts, truth = case
     t0 = time.perf_counter()
-    model = shepard.fit(nodes, values, config)
+    try:
+        model = shepard.fit(nodes, values, config)
+    except SolveError as exc:  # fit names ShepardConfig(strict=False), which no flag here sets
+        raise SolveError("no rung of the retry ladder met the residual tolerance (case "
+                         f"{label}, n={len(nodes)}, L={config.degree}, seed={seed})",
+                         exc.node_index) from None
     t1 = time.perf_counter()
     predicted = shepard.evaluate(model, eval_pts)
     t2 = time.perf_counter()
@@ -215,6 +213,9 @@ def _summary(rows) -> str:
 
 
 def cmd_benchmark(args) -> int:
+    """Run benchmark or crossvalidate: fit each case that the parser's `cases`
+    generator yields at each distinct L, then write benchmark.csv, summary.txt
+    and, unless --no-gamma-sweep (crossvalidate never sweeps), gamma_sweep.csv."""
     base = _resolve_config(args)
     configs = {L: replace(base, degree=L) for L in _int_list(args.degrees)}  # one per distinct L
     if not configs:
@@ -222,23 +223,24 @@ def cmd_benchmark(args) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
     if not seeds:
         raise ConfigError("--seeds must be at least 1")
-    cases = list(_bench_cases(args, base.n_z, seeds))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    cases = list(args.cases(args, base.n_z, seeds))
     rows = [_bench_row(case, config) for case in cases for config in configs.values()]
-    table_path = outdir / "benchmark.csv"
-    datasets.write_table(table_path, list(rows[0]), [list(r.values()) for r in rows])
-    report = _summary(rows)
-    (outdir / "summary.txt").write_text(report, newline="\n")
-
-    if not args.no_gamma_sweep and args.nodes is None:
-        sweep_path = outdir / "gamma_sweep.csv"
+    sweep = []
+    if not args.no_gamma_sweep:
         case = min(cases, key=lambda c: len(c[3]))  # the first case with the smallest n
         # The extreme shape-parameter corners are too ill-conditioned for the
         # strict residual contract; the sweep reports their best-effort accuracy.
         sweep = [_bench_row(case, replace(config, kernel=InverseMultiquadric(gamma), strict=False))
                  for config in configs.values() for gamma in GAMMA_GRID]
+    report = _summary(rows)
+
+    outdir = Path(args.out)  # made only once every row is computed: a failed run leaves none
+    outdir.mkdir(parents=True, exist_ok=True)
+    table_path = outdir / "benchmark.csv"
+    datasets.write_table(table_path, list(rows[0]), [list(r.values()) for r in rows])
+    (outdir / "summary.txt").write_text(report, newline="\n")
+    if sweep:
+        sweep_path = outdir / "gamma_sweep.csv"
         cols = ["function", "n", "L", "seed", "gamma", "rrmse"]
         datasets.write_table(sweep_path, cols, [[r[c] for c in cols] for r in sweep])
         report += f"wrote shape-parameter sweep to {sweep_path}\n"
@@ -269,15 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
                                help="synthetic geomagnetic-style data")
     p_synth.add_argument("--noise", type=float, default=0.0, help="additive noise sigma")
 
-    common = argparse.ArgumentParser(add_help=False)
+    common, runs, geo = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     common.add_argument("--gamma", type=float, default=None, help="kernel shape parameter in (0,1)")
     common.add_argument("--nz", type=int, default=None, help="local fit neighborhood size")
     common.add_argument("--nw", type=int, default=None, help="weight neighborhood size")
     common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument("--geo", action="store_true", default=None,
-                        help="input files are lat,lon[,value] in degrees")
+    runs.add_argument("--degrees", default="-1,0,1,2",
+                      help="comma list of L values (default %(default)s)")
+    runs.add_argument("--seed", type=_seed, default=0, help="first seed (default %(default)s)")
+    runs.add_argument("--seeds", type=int, default=5, help="number of seeds (default %(default)s)")
+    runs.add_argument("--out", required=True, help="output directory")
+    geo.add_argument("--geo", action="store_true", help="input files are lat,lon[,value] in degrees")
 
-    p_int = sub.add_parser("interpolate", parents=[common],
+    p_int = sub.add_parser("interpolate", parents=[common, geo],
                            help="fit a node file and evaluate on a point file")
     p_int.add_argument("--degree", type=int, default=None,
                        help="spherical-harmonic augmentation degree L, -1..2")
@@ -289,24 +295,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "residual tolerance, and warn, instead of exiting with code 4")
     p_int.set_defaults(func=cmd_interpolate)
 
-    p_bench = sub.add_parser("benchmark", parents=[common],
+    p_bench = sub.add_parser("benchmark", parents=[common, runs],
                              help="run the accuracy grid and write reports")
     p_bench.add_argument("--function", action="append", choices=["f1", "f2"],
                          help="test function (repeatable; default f1)")
-    p_bench.add_argument("--nodes", default=None,
-                         help="benchmark a node file via cross-validation instead")
-    # The mode-specific flags default to None, so _bench_cases can tell a given one.
-    p_bench.add_argument("--holdout", type=int, default=None,
-                         help="held-out point count for file benchmarks (default 200)")
-    p_bench.add_argument("--n", default=None, help="comma list of node counts (default 1000,4000)")
-    p_bench.add_argument("--degrees", default="-1,0,1,2", help="comma list of L values")
-    p_bench.add_argument("--s", type=int, default=None,
-                         help="spiral evaluation-point count (default 600)")
-    p_bench.add_argument("--seed", type=_seed, default=0, help="first seed")
-    p_bench.add_argument("--seeds", type=int, default=5, help="number of seeds")
-    p_bench.add_argument("--no-gamma-sweep", action="store_true", default=None)
-    p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.set_defaults(func=cmd_benchmark)
+    p_bench.add_argument("--n", default="1000,4000",
+                         help="comma list of node counts (default %(default)s)")
+    p_bench.add_argument("--s", type=int, default=600,
+                         help="spiral evaluation-point count (default %(default)s)")
+    p_bench.add_argument("--no-gamma-sweep", action="store_true")
+    p_bench.set_defaults(func=cmd_benchmark, cases=_grid_cases)
+
+    p_cv = sub.add_parser("crossvalidate", parents=[common, runs, geo],
+                          help="cross-validate on a node file and write reports")
+    p_cv.add_argument("--nodes", required=True, help="node CSV with values")
+    p_cv.add_argument("--holdout", type=int, default=200,
+                      help="held-out rows per seed (default %(default)s)")
+    p_cv.set_defaults(func=cmd_benchmark, cases=_file_cases, no_gamma_sweep=True)
     return parser
 
 

@@ -136,7 +136,7 @@ def _unit_points(points, what: str) -> np.ndarray:
         i = int(np.argmax(off))  # the first row that is not unit
         if not np.all(np.isfinite(pts[i])):
             raise DataError(f"{what} {i} is not finite")
-        raise DataError(f"{what} {i} has length {lengths[i]!r}, not 1 within {NORM_TOL:g}")
+        raise DataError(f"{what} {i} has length {float(lengths[i])!r}, not 1 within {NORM_TOL:g}")
     return pts
 
 

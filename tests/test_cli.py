@@ -59,7 +59,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-FILE_BENCH = ["benchmark", "--nodes", "NODES", "--holdout", 10, "--seeds", 1]
+FILE_BENCH = ["crossvalidate", "--nodes", "NODES", "--holdout", 10, "--seeds", 1]
 GRID_BENCH = ["benchmark", "--n", 100, "--s", 20, "--seeds", 1, "--no-gamma-sweep"]
 
 
@@ -74,8 +74,9 @@ GRID_BENCH = ["benchmark", "--n", 100, "--s", 20, "--seeds", 1, "--no-gamma-swee
     (FILE_BENCH + ["--no-gamma-sweep"], "--no-gamma-sweep"),
     (GRID_BENCH + ["--holdout", 7], "--holdout"),
     (GRID_BENCH + ["--geo"], "--geo"),
+    (GRID_BENCH + ["--nodes", "NODES"], "--nodes"),
 ], ids=["random-noise", "spiral-seed", "spiral-noise", "geomagnetic-function", "nodes-function",
-        "nodes-n", "nodes-s", "nodes-no-gamma-sweep", "grid-holdout", "grid-geo"])
+        "nodes-n", "nodes-s", "nodes-no-gamma-sweep", "grid-holdout", "grid-geo", "grid-nodes"])
 def test_flag_the_command_would_ignore_is_usage_error(tmp_path, capsys, command, flag):
     nodes = write_node_file(tmp_path / "n.csv")
     out = tmp_path / "out"
@@ -172,7 +173,7 @@ def write_node_file(path, n=60, seed=3, function="f1"):
     return path
 
 
-@pytest.mark.parametrize("command", ["interpolate", "benchmark"])
+@pytest.mark.parametrize("command", ["interpolate", "crossvalidate"])
 def test_node_file_without_values_is_data_error(tmp_path, capsys, command):
     nodes = write_node_file(tmp_path / "bare.csv", function=None)
     args = ["--eval", nodes] if command == "interpolate" else ["--holdout", 10]
@@ -228,6 +229,17 @@ def test_unsolvable_neighborhood_is_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: neighborhood of node 4: ")
     assert "--no-strict" in err and "ShepardConfig" not in err  # the route the command offers
+
+
+def test_benchmark_strict_miss_names_its_case_and_writes_no_directory(tmp_path, capsys):
+    # The set of the test above: node 4's fit misses, and no flag of benchmark's keeps it.
+    out = tmp_path / "bx" / "run"
+    assert run(["benchmark", "--n", 1000, "--s", 30, "--seeds", 1, "--degrees=-1",
+                "--gamma", 0.05, "--no-gamma-sweep", "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: neighborhood of node 4: ")
+    assert "(case f1, n=1000, L=-1, seed=0)" in err and "ShepardConfig" not in err
+    assert not (tmp_path / "bx").exists()
 
 
 def test_no_strict_keeps_missed_fits_and_warns(tmp_path):
@@ -557,7 +569,7 @@ def test_benchmark_file_mode(tmp_path):
     nodes = tmp_path / "geo.csv"
     run(["generate", "geomagnetic-synth", "--n", 250, "--seed", 4, "--out", nodes])
     out = tmp_path / "bench"
-    assert run(["benchmark", "--nodes", nodes, "--holdout", 40, "--seeds", 2,
+    assert run(["crossvalidate", "--nodes", nodes, "--holdout", 40, "--seeds", 2,
                 "--degrees=-1,0", "--gamma", "0.96", "--nz", 12, "--out", out]) == 0
     table = (out / "benchmark.csv").read_text().splitlines()
     assert len(table) == 1 + 2 * 2
@@ -567,18 +579,28 @@ def test_benchmark_file_label_with_comma_is_quoted(tmp_path):
     nodes = tmp_path / "a,b.csv"
     run(["generate", "geomagnetic-synth", "--n", 120, "--seed", 4, "--out", nodes])
     out = tmp_path / "bench"
-    assert run(["benchmark", "--nodes", nodes, "--holdout", 20, "--seeds", 2,
+    assert run(["crossvalidate", "--nodes", nodes, "--holdout", 20, "--seeds", 2,
                 "--degrees=-1,0", "--out", out]) == 0
     rows = read_rows(out / "benchmark.csv")
     assert [len(r) for r in rows] == [13] * 5
     assert [r[0] for r in rows[1:]] == ["a,b"] * 4
 
 
+def test_crossvalidate_fit_data_error_writes_no_directory(tmp_path, capsys):
+    nodes = write_node_file(tmp_path / "n.csv")
+    header, *rows = nodes.read_text().splitlines()
+    nodes.write_text("\n".join([header] + rows + rows) + "\n")  # every node twice
+    out = tmp_path / "cv" / "out"
+    assert run(["crossvalidate", "--nodes", nodes, "--holdout", 5, "--seeds", 1, "--out", out]) == 3
+    assert "have equal coordinates" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+
 def test_benchmark_holdout_must_leave_training_rows(tmp_path, capsys):
     nodes = tmp_path / "geo.csv"
     run(["generate", "geomagnetic-synth", "--n", 30, "--seed", 4, "--out", nodes])
     for holdout in (0, 30, 40):
-        assert run(["benchmark", "--nodes", nodes, "--holdout", holdout,
+        assert run(["crossvalidate", "--nodes", nodes, "--holdout", holdout,
                     "--out", tmp_path / "bench"]) == 2
     err = capsys.readouterr().err
     assert f"need 1 <= --holdout < 30 (the rows of {nodes}), got 40" in err

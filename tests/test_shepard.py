@@ -24,6 +24,7 @@ from sphshepard import (
 )
 from sphshepard import shepard
 from sphshepard.localfit import PATH_LSTSQ, PATH_MISSED, RTOL, eval_local
+from sphshepard.sphere import unit_lengths
 
 
 def rand_points(n, seed):
@@ -197,8 +198,11 @@ def off_sphere(points):
 def test_fit_rejects_points_off_the_unit_sphere():
     nodes = rand_points(50, 0)
     for bad in off_sphere(nodes):
-        with pytest.raises(DataError, match="node 5 has length"):
+        length = float(unit_lengths(bad)[0][5])  # quoted as a Python float, not a numpy repr
+        message = re.escape(f"node 5 has length {length!r}, not 1")
+        with pytest.raises(DataError, match=message) as info:
             fit(bad, np.zeros(50), ShepardConfig())
+        assert "np.float64" not in str(info.value)
     with pytest.raises(DataError, match=r"shape \(3,\) or \(p, 3\)"):
         fit(nodes[:, :2], np.zeros(50), ShepardConfig())
 
